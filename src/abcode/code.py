@@ -59,93 +59,52 @@ class MatrixGF:
         """Reduced row echelon form; returns (MatrixGF, pivot column list).
 
         col_order restricts and orders the pivot search; columns not listed
-        are never used as pivots.
+        are never used as pivots.  Over F_2 the rows are reduced bit-packed.
         """
         f = self.field
         m, n = self.data.shape
         if col_order is None:
             col_order = range(n)
+        if f.q == 2:
+            rows, pivots = _rref_ints(self.row_ints(), col_order)
+            return MatrixGF(f, _unpack_rows(rows, n), role="rref"), pivots
+        A = self.data.copy()
         pivots = []
-        row = 0
-        if f.s == 1:
-            p = f.p
-            A = self.data.astype(np.int64)
-            for col in col_order:
-                if row == m:
-                    break
-                nz = np.nonzero(A[row:, col])[0]
-                if nz.size == 0:
-                    continue
-                pr = row + int(nz[0])
-                if pr != row:
-                    A[[row, pr]] = A[[pr, row]]
-                inv = pow(int(A[row, col]), -1, p)
-                if inv != 1:
-                    A[row] = (A[row] * inv) % p
-                others = np.nonzero(A[:, col])[0]
-                others = others[others != row]
-                if others.size:
-                    A[others] = (A[others] - np.outer(A[others, col], A[row])) % p
-                pivots.append(col)
-                row += 1
-            out = MatrixGF(f, A, role="rref")
-        else:
-            add_t, mul_t, neg_t, _, _ = f.tables()
-            A = self.data.copy()
-            for col in col_order:
-                if row == m:
-                    break
-                nz = np.nonzero(A[row:, col])[0]
-                if nz.size == 0:
-                    continue
-                pr = row + int(nz[0])
-                if pr != row:
-                    A[[row, pr]] = A[[pr, row]]
-                inv = f.inv(int(A[row, col]))
-                if inv != 1:
-                    A[row] = mul_t[A[row], inv]
-                others = np.nonzero(A[:, col])[0]
-                others = others[others != row]
-                if others.size:
-                    contrib = mul_t[neg_t[A[others, col]][:, None], A[row][None, :]]
-                    A[others] = add_t[A[others], contrib]
-                pivots.append(col)
-                row += 1
-            out = MatrixGF(f, A, role="rref")
-        return out, pivots
+        for col in col_order:
+            row = len(pivots)
+            if row == m:
+                break
+            nz = np.nonzero(A[row:, col])[0]
+            if nz.size == 0:
+                continue
+            pr = row + int(nz[0])
+            if pr != row:
+                A[[row, pr]] = A[[pr, row]]
+            inv = f.inv(int(A[row, col]))
+            if inv != 1:
+                A[row] = f.mul(A[row], inv)
+            others = np.nonzero(A[:, col])[0]
+            others = others[others != row]
+            if others.size:
+                A[others] = f.submul(A[others], A[others, col][:, None], A[row])
+            pivots.append(col)
+        return MatrixGF(f, A, role="rref"), pivots
 
     def rank(self, col_order=None) -> int:
-        if self.field.q == 2:
-            rows = self.row_ints()
-            n = self.data.shape[1]
-            order = list(col_order) if col_order is not None else range(n)
-            return len(_rref_ints(rows, order)[1])
         return len(self.rref(col_order)[1])
 
     def nullspace(self):
         """Basis of the right kernel, one row per basis vector."""
-        f = self.field
-        m, n = self.data.shape
+        n = self.data.shape[1]
         R, pivots = self.rref()
-        free = [c for c in range(n) if c not in set(pivots)]
+        free = sorted(set(range(n)).difference(pivots))
         basis = np.zeros((len(free), n), dtype=self.data.dtype)
-        for bi, fc in enumerate(free):
-            basis[bi, fc] = 1
-            for ri, pc in enumerate(pivots):
-                basis[bi, pc] = f.neg(int(R.data[ri, fc]))
-        return MatrixGF(f, basis, role="generator")
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.field.neg(R.data[:len(pivots)][:, free]).T
+        return MatrixGF(self.field, basis, role="generator")
 
     def mul_vec(self, vec) -> np.ndarray:
-        f = self.field
-        vec = np.asarray(vec)
-        if f.s == 1:
-            return ((self.data.astype(np.int64) @ vec.astype(np.int64)) % f.p) \
-                .astype(self.data.dtype)
-        add_t, mul_t, _, _, _ = f.tables()
-        acc = np.zeros(self.data.shape[0], dtype=self.data.dtype)
-        for j in np.nonzero(vec)[0]:
-            acc = add_t[acc, mul_t[self.data[:, int(j)], int(vec[int(j)])]]
-        return acc
+        return self.field.dot(self.data, np.asarray(vec))
 
     def mul_mat(self, other: "MatrixGF") -> "MatrixGF":
         cols = [self.mul_vec(other.data[:, j]) for j in range(other.data.shape[1])]
@@ -155,13 +114,8 @@ class MatrixGF:
         """Rows packed into ints, bit j = column j (q = 2 only)."""
         if self.field.q != 2:
             raise ValueError("bit packing requires q = 2")
-        out = []
-        for row in self.data:
-            v = 0
-            for j in np.nonzero(row)[0]:
-                v |= 1 << int(j)
-            out.append(v)
-        return out
+        packed = np.packbits(self.data, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def to_text(self) -> str:
         return "\n".join(" ".join(str(int(v)) for v in row) for row in self.data)
@@ -171,25 +125,36 @@ class MatrixGF:
 
 
 def _rref_ints(rows, col_order):
-    """RREF of bit-packed rows; returns (reduced nonzero rows, pivot cols)."""
-    rows = [int(r) for r in rows]
-    out = []
+    """RREF of bit-packed rows; returns (all rows, pivot cols).
+
+    Rows are swapped and reduced exactly as the label kernel of
+    MatrixGF.rref does, so row i holds pivot i and rows past the last pivot
+    keep the same order.
+    """
+    rows = list(rows)
     pivots = []
     for col in col_order:
+        row = len(pivots)
+        if row == len(rows):
+            break
         bit = 1 << col
-        idx = None
-        for i, r in enumerate(rows):
-            if r & bit:
-                idx = i
-                break
-        if idx is None:
+        pr = next((i for i in range(row, len(rows)) if rows[i] & bit), None)
+        if pr is None:
             continue
-        piv = rows.pop(idx)
+        rows[row], rows[pr] = rows[pr], rows[row]
+        piv = rows[row]
         rows = [r ^ piv if r & bit else r for r in rows]
-        out = [r ^ piv if r & bit else r for r in out]
-        out.append(piv)
+        rows[row] = piv
         pivots.append(col)
-    return out, pivots
+    return rows, pivots
+
+
+def _unpack_rows(rows, n):
+    """Inverse of MatrixGF.row_ints: a (len(rows), n) 0/1 label array."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 # ---------- the code itself ----------
@@ -374,16 +339,8 @@ def verify_check_positions(code: AbelianCode, cs: CheckSet) -> VerifyResult:
     if expected == 0:
         return VerifyResult(True, "ok", 0, 0)
     cols = sorted(code.ambient.index_of(t) for t in cs.positions)
-    H = parity_matrix(code)
-    sub = H.data[:, cols]
-    if code.ambient.q == 2:
-        rows = MatrixGF(code.scalars, sub).row_ints()
-        _, pivots = _rref_ints(rows, range(len(cols)))
-        rank = len(pivots)
-    else:
-        sub_m = MatrixGF(code.scalars, sub)
-        _, pivots = sub_m.rref()
-        rank = len(pivots)
+    _, pivots = MatrixGF(code.scalars, parity_matrix(code).data[:, cols]).rref()
+    rank = len(pivots)
     if rank != expected:
         return VerifyResult(False, "rank", rank, expected)
     piv_positions = tuple(code.ambient.tuple_of(cols[c]) for c in pivots)
@@ -417,14 +374,6 @@ class DistanceResult:
         return f"DistanceResult([{self.lower},{self.upper}], method={self.method!r})"
 
 
-def _int_to_vec(x: int, l: int) -> np.ndarray:
-    return np.array([(x >> j) & 1 for j in range(l)], dtype=np.uint8)
-
-
-def _popcount_u64(arr: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(arr)
-
-
 def _gray_min(rows, l, budget=None):
     """Minimum nonzero weight over all F_2 combinations of independent rows.
 
@@ -454,7 +403,7 @@ def _gray_min(rows, l, budget=None):
         acc = None
         for c in range(nch):
             part = np.uint64((hi >> (64 * c)) & mask64)
-            w = _popcount_u64(tabs[c] ^ part).astype(np.uint32)
+            w = np.bitwise_count(tabs[c] ^ part).astype(np.uint32)
             acc = w if acc is None else acc + w
         if hi == 0:
             acc[0] = l + 1
@@ -472,57 +421,113 @@ def _gray_min(rows, l, budget=None):
     return best, bw, evals, True
 
 
-def _enum_weight_min(rows, w, best, best_wit):
-    """Scan all XOR combinations of exactly w rows, tracking the minimum."""
+def _enum_weight_min_bits(rows, w, best):
+    """Scan all XOR combinations of exactly w bit-packed rows.
+
+    Returns (weight, int) of the first combination lighter than best, or
+    (best, None) when none is.
+    """
     k = len(rows)
+    wit = None
 
     def rec(start, acc, rem):
-        nonlocal best, best_wit
+        nonlocal best, wit
         if rem == 1:
             for i in range(start, k):
                 v = acc ^ rows[i]
                 wt = v.bit_count()
                 if wt and wt < best:
                     best = wt
-                    best_wit = v
+                    wit = v
         else:
             for i in range(start, k - rem + 1):
                 rec(i + 1, acc ^ rows[i], rem - 1)
 
     if w >= 1 and k >= w:
         rec(0, 0, w)
-    return best, best_wit
+    return best, wit
 
 
-def _bz_matrices(rows, k, l):
+def _enum_weight_min_labels(f, multiples, w, best):
+    """Scan all sums of c_i * row_i over exactly w rows and nonzero c_i.
+
+    multiples[i, c - 1] holds c * row_i; combinations run in lexicographic
+    order of (row, scalar).  Returns (weight, label array) of the first sum
+    lighter than best, or (best, None) when none is.
+    """
+    k = multiples.shape[0]
+    wit = None
+
+    def rec(start, acc, rem):
+        nonlocal best, wit
+        for i in range(start, k - rem + 1):
+            for row in multiples[i]:
+                v = f.add(acc, row)
+                if rem > 1:
+                    rec(i + 1, v, rem - 1)
+                    continue
+                wt = int(np.count_nonzero(v))
+                if wt and wt < best:
+                    best = wt
+                    wit = v
+
+    if w >= 1 and k >= w:
+        rec(0, np.zeros(multiples.shape[2], dtype=multiples.dtype), w)
+    return best, wit
+
+
+def _bz_matrices(G):
     """RREF copies of the generator over pairwise disjoint pivot sets.
 
-    Returns a list of (row_ints, fresh_rank): fresh_rank pivots of each
+    Returns a list of (MatrixGF, fresh_rank): fresh_rank pivots of each
     matrix fall on columns unused by all previous ones.
     """
+    k, l = G.shape
     used = set()
     mats = []
     while len(used) < l:
         order = [c for c in range(l) if c not in used] + sorted(used)
-        red, pivots = _rref_ints(rows, order)
+        red, pivots = G.rref(order)
         fresh = [c for c in pivots if c not in used]
-        if not fresh or len(red) < k:
+        if not fresh or len(pivots) < k:
             break
         mats.append((red, len(fresh)))
         used.update(fresh)
     return mats
 
 
-def _bz_min(rows, k, l, budget=None, decide_at_least=None):
-    """Information-set enumeration in the Brouwer-Zimmermann style (q = 2).
+def _bz_min(G, budget=None, decide_at_least=None):
+    """Information-set enumeration in the Brouwer-Zimmermann style.
 
-    When every generator row has even weight, all codewords do, so an odd
-    lower bound can be rounded up; this is what makes weight-8 distances
-    at dimension 40 certifiable without a depth-7 pass.
+    Returns (lower, upper, witness, evaluations) with lower <= d <= upper.
+    upper is the witness weight, or the length when the budget ran out
+    before any codeword was seen; lower == upper when d is resolved.
+
+    Only the weight-w enumeration depends on q: XOR of bit-packed rows for
+    q = 2, label arrays over the nonzero scalars otherwise.  Over F_2, when
+    every generator row has even weight, all codewords do, so an odd lower
+    bound can be rounded up; this is what makes weight-8 distances at
+    dimension 40 certifiable without a depth-7 pass.
     """
-    mats = _bz_matrices(rows, k, l)
+    f = G.field
+    k, l = G.shape
+    mats = _bz_matrices(G)
+    if f.q == 2:
+        even = not np.any(np.count_nonzero(G.data, axis=1) % 2)
+        packed = [red.row_ints() for red, _ in mats]
+
+        def scan(i, w, best):
+            best, x = _enum_weight_min_bits(packed[i], w, best)
+            return best, (None if x is None else _unpack_rows([x], l)[0])
+    else:
+        even = False
+        nonzero = np.arange(1, f.q, dtype=G.data.dtype)[:, None]
+        multiples = [f.mul(red.data[:, None, :], nonzero) for red, _ in mats]
+
+        def scan(i, w, best):
+            return _enum_weight_min_labels(f, multiples[i], w, best)
+
     completed = [0] * len(mats)
-    even = all(r.bit_count() % 2 == 0 for r in rows)
     ub = l + 1
     wit = None
     evals = 0
@@ -533,104 +538,35 @@ def _bz_min(rows, k, l, budget=None, decide_at_least=None):
             lb += 1
         return lb
 
+    def bracket(lower):
+        return lower, (ub if wit is not None else l), wit, evals
+
     w = 0
     while True:
         lb = lower_bound()
         if lb >= ub:
-            return ub, wit, evals, True
+            return bracket(ub)
         if decide_at_least is not None and (lb >= decide_at_least or ub < decide_at_least):
-            return (lb if lb < ub else ub), wit, evals, lb >= ub
+            return bracket(lb)
         w += 1
         if w > k:
-            return ub, wit, evals, True
-        for i, (mrows, r) in enumerate(mats):
+            return bracket(ub)
+        for i, (_, r) in enumerate(mats):
             gain = w + 1 - (k - r)
             if gain <= 0 and w > 2:
                 continue
-            cost = math.comb(k, w)
+            cost = math.comb(k, w) * (f.q - 1) ** w
             if budget is not None and evals + cost > budget:
-                return lower_bound(), wit if wit is not None else None, evals, False
+                return bracket(lower_bound())
             evals += cost
-            new_ub, new_wit = _enum_weight_min(mrows, w, ub, wit)
-            if new_ub < ub:
+            new_ub, new_wit = scan(i, w, ub)
+            if new_wit is not None:
                 ub, wit = new_ub, new_wit
             completed[i] = w
             if lower_bound() >= ub:
-                return ub, wit, evals, True
+                return bracket(ub)
             if decide_at_least is not None and ub < decide_at_least:
-                return lower_bound(), wit, evals, False
-
-
-def _bz_min_generic(code, G, budget=None):
-    """BZ-style enumeration over F_q, q > 2; desk scale only."""
-    f = code.scalars
-    q = f.q
-    k, l = G.data.shape
-    used = set()
-    mats = []
-    while len(used) < l:
-        order = [c for c in range(l) if c not in used] + sorted(used)
-        red, pivots = G.rref(order)
-        fresh = [c for c in pivots if c not in used]
-        if not fresh or len(pivots) < k:
-            break
-        mats.append((red.data.copy(), len(fresh)))
-        used.update(fresh)
-
-    completed = [0] * len(mats)
-    ub = l + 1
-    wit = None
-    evals = 0
-    nonzero = list(range(1, q))
-
-    if f.s == 1:
-        def scaled(row, c):
-            return (row.astype(np.int64) * c) % f.p
-        def addv(a, b):
-            return (a.astype(np.int64) + b.astype(np.int64)) % f.p
-    else:
-        add_t, mul_t, _, _, _ = f.tables()
-        def scaled(row, c):
-            return mul_t[row, c]
-        def addv(a, b):
-            return add_t[a, b]
-
-    def lower_bound():
-        return sum(max(0, completed[i] + 1 - (k - r)) for i, (_, r) in enumerate(mats))
-
-    w = 0
-    while True:
-        lb = lower_bound()
-        if lb >= ub:
-            return ub, wit, evals, True
-        w += 1
-        if w > k:
-            return ub, wit, evals, True
-        for i, (rows, r) in enumerate(mats):
-            gain = w + 1 - (k - r)
-            if gain <= 0 and w > 2:
-                continue
-            cost = math.comb(k, w) * (q - 1) ** w
-            if budget is not None and evals + cost > budget:
-                return lower_bound(), wit, evals, False
-            evals += cost
-
-            def rec(start, acc, rem):
-                nonlocal ub, wit
-                if rem == 0:
-                    wt = int(np.count_nonzero(acc))
-                    if wt and wt < ub:
-                        ub = wt
-                        wit = acc.copy()
-                    return
-                for idx in range(start, k - rem + 1):
-                    for c in nonzero:
-                        rec(idx + 1, addv(acc, scaled(rows[idx], c)), rem - 1)
-
-            rec(0, np.zeros(l, dtype=np.int64), w)
-            completed[i] = w
-            if lower_bound() >= ub:
-                return ub, wit, evals, True
+                return bracket(lower_bound())
 
 
 def _full_min(code, G):
@@ -641,19 +577,8 @@ def _full_min(code, G):
     if q**k * l > (1 << 28):
         raise ValueError("full enumeration exceeds the memory budget")
     A = np.zeros((1, l), dtype=G.data.dtype)
-    if f.s == 1:
-        for row in G.data:
-            blocks = [A]
-            for v in range(1, q):
-                blocks.append((A.astype(np.int64) + v * row.astype(np.int64)) % f.p)
-            A = np.vstack([b.astype(G.data.dtype) for b in blocks])
-    else:
-        add_t, mul_t, _, _, _ = f.tables()
-        for row in G.data:
-            blocks = [A]
-            for v in range(1, q):
-                blocks.append(add_t[A, mul_t[row, v][None, :]])
-            A = np.vstack(blocks)
+    for row in G.data:
+        A = np.vstack([A] + [f.add(A, f.mul(row, v)) for v in range(1, q)])
     weights = np.count_nonzero(A, axis=1)
     weights[0] = l + 1
     i = int(np.argmin(weights))
@@ -678,26 +603,15 @@ def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> Distan
     if method == "gray":
         if q != 2:
             raise ValueError("Gray-code enumeration requires q = 2")
-        rows = G.row_ints()
-        best, bw, evals, exact = _gray_min(rows, l, budget)
-        wit = _int_to_vec(bw, l) if bw is not None else None
+        best, bw, evals, exact = _gray_min(G.row_ints(), l, budget)
+        wit = _unpack_rows([bw], l)[0] if bw is not None else None
         return DistanceResult(best if exact else 1, best, wit, "gray", evals)
     if method == "full":
         best, wit, evals = _full_min(code, G)
         return DistanceResult(best, best, wit, "full", evals)
     if method == "bz":
-        if q == 2:
-            rows = G.row_ints()
-            lo, wit_i, evals, exact = _bz_min(rows, k, l, budget)
-            if exact:
-                wit = _int_to_vec(wit_i, l) if wit_i is not None else None
-                return DistanceResult(lo, lo, wit, "bz", evals)
-            ub = wit_i.bit_count() if wit_i is not None else l
-            wit = _int_to_vec(wit_i, l) if wit_i is not None else None
-            return DistanceResult(lo, ub, wit, "bz", evals)
-        ub, wit, evals, exact = _bz_min_generic(code, G, budget)
-        wt = wit.astype(np.uint8) if wit is not None else None
-        return DistanceResult(ub if exact else 1, ub, wt, "bz", evals)
+        lower, upper, wit, evals = _bz_min(G, budget)
+        return DistanceResult(lower, upper, wit, "bz", evals)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -709,19 +623,8 @@ def distance_at_least(code: AbelianCode, d: int, budget=None) -> bool:
         return True
     if d <= 5:
         return find_low_weight_codeword(code, d - 1) is None
-    q = code.ambient.q
-    G = generator_matrix(code)
-    if q == 2:
-        rows = G.row_ints()
-        lo, wit, evals, exact = _bz_min(rows, code.dimension, code.length,
-                                        budget, decide_at_least=d)
-        if exact:
-            return lo >= d
-        if wit is not None and wit.bit_count() < d:
-            return False
-        return lo >= d
-    res = min_distance(code, budget=budget)
-    return res.lower >= d
+    lower, _, _, _ = _bz_min(generator_matrix(code), budget, decide_at_least=d)
+    return lower >= d
 
 
 def find_low_weight_codeword(code: AbelianCode, wmax: int):
@@ -749,12 +652,7 @@ def find_low_weight_codeword(code: AbelianCode, wmax: int):
         return out
 
     if code.ambient.q == 2 and wmax <= 4:
-        cols = []
-        for j in range(l):
-            v = 0
-            for i in np.nonzero(H.data[:, j])[0]:
-                v |= 1 << int(i)
-            cols.append(v)
+        cols = MatrixGF(code.scalars, H.data.T).row_ints()
         for j, c in enumerate(cols):
             if c == 0:
                 return vec_of([j], [1])
@@ -840,7 +738,5 @@ def encode(code: AbelianCode, cs: CheckSet, info_values) -> np.ndarray:
             raise ValueError(f"value {val} out of range for q = {f.q}")
         y[code.ambient.index_of(pos)] = int(val)
     if check_cols:
-        syn = H_std.mul_vec(y)
-        for i, col in enumerate(check_cols):
-            y[col] = f.neg(int(syn[i]))
+        y[check_cols] = f.neg(H_std.mul_vec(y))
     return y

@@ -472,6 +472,13 @@ class ScalarField:
     Labels follow the same encoding as subfield_coords.  Addition is
     digitwise mod p; products go through the ambient context (cached in
     numpy tables for vectorized matrix work).
+
+    add, neg and mul also take label arrays: when a is a numpy array (b an
+    array broadcastable with it, or one label) they return an array of a's
+    dtype.  submul and dot are the fused forms the matrix kernels need.  For
+    s = 1 the array forms are integer arithmetic mod p, otherwise lookups in
+    the tables.  Elementwise they run in int32, which holds p^2 because
+    q <= 4096; dot sums in int64.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -504,9 +511,13 @@ class ScalarField:
         (label,) = subfield_coords(self.ctx, elem, 1)
         return label
 
-    # scalar ops on labels
+    # ops on labels and label arrays
 
-    def add(self, a: int, b: int) -> int:
+    def add(self, a, b):
+        if isinstance(a, np.ndarray):
+            if self.s == 1:
+                return self._mod_p(np.add(a, b, dtype=np.int32), a.dtype)
+            return self.tables()[0][a, b].astype(a.dtype, copy=False)
         if self.s == 1:
             return (a + b) % self.p
         p, out, w = self.p, 0, 1
@@ -517,7 +528,11 @@ class ScalarField:
             w *= p
         return out
 
-    def neg(self, a: int) -> int:
+    def neg(self, a):
+        if isinstance(a, np.ndarray):
+            if self.s == 1:
+                return self._mod_p(np.subtract(self.p, a, dtype=np.int32), a.dtype)
+            return self.tables()[2][a].astype(a.dtype, copy=False)
         if self.s == 1:
             return (-a) % self.p
         p, out, w = self.p, 0, 1
@@ -530,13 +545,41 @@ class ScalarField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def mul(self, a: int, b: int) -> int:
+    def mul(self, a, b):
+        if isinstance(a, np.ndarray):
+            if self.s == 1:
+                return self._mod_p(np.multiply(a, b, dtype=np.int32), a.dtype)
+            return self.tables()[1][a, b].astype(a.dtype, copy=False)
         if self.s == 1:
             return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         _, _, _, log, exp = self.tables()
         return int(exp[(log[a] + log[b]) % (self.q - 1)])
+
+    def submul(self, a, c, b):
+        """a - c * b for label arrays (broadcast), in a's dtype.
+
+        One fused op, so that a row-elimination step costs one integer pass
+        for s = 1.
+        """
+        if self.s == 1:
+            t = np.multiply(c, b, dtype=np.int32)
+            return self._mod_p(np.subtract(a, t, out=t), a.dtype)
+        add_t, mul_t, neg_t, _, _ = self.tables()
+        return add_t[a, mul_t[neg_t[c], b]].astype(a.dtype, copy=False)
+
+    def dot(self, a, b):
+        """Sum over j of a[..., j] * b[j] for label arrays, in a's dtype."""
+        if self.s == 1:
+            return self._mod_p(np.matmul(a, b, dtype=np.int64), a.dtype)
+        # labels add digit by digit mod p, so each base-p digit sums alone
+        prods = self.tables()[1][a, b].astype(np.int64)
+        p, out, w = self.p, 0, 1
+        for _ in range(self.s):
+            out = out + (prods // w % p).sum(axis=-1) % p * w
+            w *= p
+        return out.astype(a.dtype)
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -545,6 +588,11 @@ class ScalarField:
             return pow(a, -1, self.p)
         _, _, _, log, exp = self.tables()
         return int(exp[(-log[a]) % (self.q - 1)])
+
+    def _mod_p(self, t, dtype):
+        """Reduce an integer array in place mod p and return it as dtype."""
+        t %= self.p
+        return t.astype(dtype)
 
     def tables(self):
         """(add_table, mul_table, neg_table, log, exp) as numpy label arrays."""

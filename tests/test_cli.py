@@ -68,6 +68,13 @@ defining_set:
   orbits: [1]
 """
 
+SPEC_GOLAY3 = """\
+q: 3
+r: [11]
+defining_set:
+  orbits: [1]
+"""
+
 
 def write(tmp_path, text, name="code.yaml"):
     path = tmp_path / name
@@ -280,6 +287,16 @@ def test_mindist_budget_bracket(tmp_path, capsys):
     doc = yaml.safe_load(out)
     assert doc["exact"] is False
     assert doc["lower"] == 1
+
+
+def test_mindist_nonbinary_budget_bracket(tmp_path, capsys):
+    path = write(tmp_path, SPEC_GOLAY3)
+    code, out = run_cli(capsys, "mindist", path, "--method", "bz",
+                        "--budget", "1", "--machine-output")
+    assert code == EXIT_OK
+    doc = yaml.safe_load(out)
+    assert doc["exact"] is False
+    assert doc["lower"] <= 5 <= doc["upper"]
 
 
 # ---------- pdset / decode ----------

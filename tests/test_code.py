@@ -29,6 +29,18 @@ QUARTIC = from_orbit_reps(Ambient(4, (5,)), [(1,)])          # [5, 3, 3]
 TWO_AXIS = validate_defining_set(Ambient(2, (3, 7)), {
     (1, 1), (2, 2), (1, 4), (2, 1), (1, 2), (2, 4), (0, 3), (0, 5),
     (0, 6), (1, 3), (2, 6), (1, 5), (2, 3), (1, 6), (2, 5)})
+C9 = from_orbit_reps(Ambient(2, (9,)), [(1,)])    # [9, 3, 3], odd-weight rows
+C315 = from_orbit_reps(Ambient(2, (3, 15)),
+                       [(0, 3), (0, 7), (1, 0), (1, 11)])     # [45, 31, 6]
+C345 = from_orbit_reps(Ambient(3, (4, 5)),
+                       [(0, 0), (0, 1), (1, 0), (2, 0)])      # [20, 12, 4]
+C358 = from_orbit_reps(Ambient(3, (5, 8)),                    # [40, 15, 10]
+                       [(0, 0), (1, 1), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7)])
+C457 = from_orbit_reps(Ambient(4, (5, 7)),                    # [35, 14, 10]
+                       [(0, 0), (1, 0), (1, 3), (2, 1), (2, 3)])
+NAMED = {"HAMMING": HAMMING, "GOLAY3": GOLAY3, "QUARTIC": QUARTIC,
+         "TWO_AXIS": TWO_AXIS, "C9": C9, "C315": C315, "C345": C345,
+         "C358": C358, "C457": C457}
 
 
 # ---------- naive linear algebra oracle ----------
@@ -69,14 +81,12 @@ def naive_mul_vec(sf, data, vec):
     return out
 
 
+FIELD_SIZES = (2, 3, 4, 5, 8, 9)
+
+
 def scalar_field(q):
-    if q == 2:
-        return ScalarField(build_context(2, 1, 1))
-    if q == 3:
-        return ScalarField(build_context(3, 1, 1))
-    if q == 4:
-        return ScalarField(build_context(2, 2, 1))
-    raise ValueError(q)
+    p, s = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}[q]
+    return ScalarField(build_context(p, s, 1))
 
 
 def random_matrix(rng, q, shape):
@@ -87,13 +97,22 @@ def random_matrix(rng, q, shape):
 # ---------- MatrixGF ----------
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+# shapes past one byte and one 64-bit word, with n % 8 != 0
+WIDE_SHAPES = ((3, 65), (7, 70), (12, 131))
+
+
+def shapes(rng, mmax, nmax):
+    """25 small random shapes, drawn lazily from rng, then WIDE_SHAPES."""
+    for _ in range(25):
+        yield rng.randint(1, mmax), rng.randint(1, nmax)
+    yield from WIDE_SHAPES
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES)
 def test_rref_matches_naive(q):
     sf = scalar_field(q)
     rng = random.Random(31)
-    for _ in range(25):
-        m = rng.randint(1, 6)
-        n = rng.randint(1, 8)
+    for m, n in shapes(rng, 6, 8):
         data = random_matrix(rng, q, (m, n))
         cols = list(range(n))
         if rng.random() < 0.5:
@@ -111,13 +130,11 @@ def test_rref_matches_naive(q):
         assert list(p2) == want_pivots
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", FIELD_SIZES)
 def test_nullspace_properties(q):
     sf = scalar_field(q)
     rng = random.Random(32)
-    for _ in range(25):
-        m = rng.randint(1, 5)
-        n = rng.randint(1, 8)
+    for m, n in shapes(rng, 5, 8):
         M = MatrixGF(sf, random_matrix(rng, q, (m, n)))
         N = M.nullspace()
         assert N.shape[1] == n
@@ -128,7 +145,7 @@ def test_nullspace_properties(q):
             assert N.rank() == N.shape[0]
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", FIELD_SIZES)
 def test_mul_vec_and_mul_mat(q):
     sf = scalar_field(q)
     rng = random.Random(33)
@@ -143,15 +160,24 @@ def test_mul_vec_and_mul_mat(q):
             for t in range(6):
                 acc = sf.add(acc, sf.mul(int(A.data[i, t]), int(B.data[t, j])))
             assert int(C.data[i, j]) == acc
+    for m, n in WIDE_SHAPES:
+        A = MatrixGF(sf, random_matrix(rng, q, (m, n)))
+        v = [rng.randrange(q) for _ in range(n)]
+        assert list(A.mul_vec(v)) == naive_mul_vec(sf, A.data, v)
 
 
 def test_row_ints_binary_roundtrip():
     sf = scalar_field(2)
     rng = random.Random(34)
-    data = random_matrix(rng, 2, (5, 70))
-    M = MatrixGF(sf, data)
-    for row, packed in zip(data, M.row_ints()):
-        assert [((packed >> i) & 1) for i in range(70)] == list(map(int, row))
+    for n in (70, 1, 8, 64, 131):
+        data = random_matrix(rng, 2, (5, n))
+        M = MatrixGF(sf, data)
+        for row, packed in zip(data, M.row_ints()):
+            assert [((packed >> i) & 1) for i in range(n)] == list(map(int, row))
+        # with no pivot column allowed, rref packs and unpacks rows unchanged
+        R, pivots = M.rref(col_order=[])
+        assert pivots == []
+        assert np.array_equal(R.data, data)
 
 
 def test_to_text():
@@ -353,6 +379,69 @@ def test_distance_at_least_via_decision_procedure():
     code = AbelianCode(from_orbit_reps(amb, [(1, 2), (1, 6)]))  # d = 5
     assert distance_at_least(code, 5)
     assert not distance_at_least(code, 6)
+
+
+def test_distance_at_least_nonbinary_beyond_weight_five():
+    code = AbelianCode(C358)
+    assert distance_at_least(code, 10)
+    assert not distance_at_least(code, 11)
+
+
+# (code, method) -> (lower, upper, method, evaluations, witness) of
+# min_distance, pinned so that any change to the row reduction or to the
+# enumeration order shows up as a changed witness or evaluation count
+PINNED_DISTANCES = {
+    ("HAMMING", "auto"): (3, 3, "gray", 16, "1101000"),
+    ("HAMMING", "gray"): (3, 3, "gray", 16, "1101000"),
+    ("HAMMING", "full"): (3, 3, "full", 16, "1101000"),
+    ("HAMMING", "bz"): (3, 3, "bz", 8, "1000110"),
+    ("GOLAY3", "auto"): (5, 5, "full", 729, "20121100000"),
+    ("GOLAY3", "full"): (5, 5, "full", 729, "20121100000"),
+    ("GOLAY3", "bz"): (5, 5, "bz", 144, "10000020121"),
+    ("QUARTIC", "auto"): (3, 3, "full", 64, "13100"),
+    ("QUARTIC", "full"): (3, 3, "full", 64, "13100"),
+    ("QUARTIC", "bz"): (3, 3, "bz", 18, "10013"),
+    ("TWO_AXIS", "auto"): (7, 7, "gray", 64, "111111100000000000000"),
+    ("TWO_AXIS", "gray"): (7, 7, "gray", 64, "111111100000000000000"),
+    ("TWO_AXIS", "full"): (7, 7, "full", 64, "111111100000000000000"),
+    ("TWO_AXIS", "bz"): (7, 7, "bz", 54, "000000011111110000000"),
+    ("C345", "bz"): (4, 4, "bz", 2624, "10002000000000020001"),
+    ("C358", "bz"): (10, 10, "bz", 52310,
+                     "0100010000010001000100010100010000200020"),
+    ("C457", "bz"): (10, 10, "bz", 184401,
+                     "00001100000110000011000001100000110"),
+}
+
+
+@pytest.mark.parametrize("name,method", sorted(PINNED_DISTANCES))
+def test_min_distance_outputs_pinned(name, method):
+    res = min_distance(AbelianCode(NAMED[name]), method=method)
+    wit = "".join(str(int(v)) for v in res.witness)
+    got = (res.lower, res.upper, res.method, res.evaluations, wit)
+    assert got == PINNED_DISTANCES[name, method]
+
+
+BUDGETS = (0, 1, 2, 5, 10, 30, 100, 300, 10**3, 3 * 10**3, 10**4, 10**5)
+BRACKET_CASES = [(name, method, d)
+                 for name, d in (("HAMMING", 3), ("TWO_AXIS", 7), ("C9", 3),
+                                 ("C315", 6))
+                 for method in ("gray", "bz")] + \
+                [("GOLAY3", "bz", 5), ("QUARTIC", "bz", 3), ("C345", "bz", 4)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+@pytest.mark.parametrize("name,method,d", BRACKET_CASES)
+def test_budget_bracket_is_sound(name, method, d, budget):
+    code = AbelianCode(NAMED[name])
+    res = min_distance(code, budget=budget, method=method)
+    assert res.lower <= d <= res.upper
+    if res.witness is None:
+        assert res.upper == code.length
+    else:
+        assert int(np.count_nonzero(res.witness)) == res.upper
+        assert contains(code, res.witness)
+    if res.is_exact:
+        assert res.lower == res.upper == d
 
 
 # ---------- low weight search ----------

@@ -8,6 +8,7 @@ in place so a regression points at the real culprit.
 
 import random
 
+import numpy as np
 import pytest
 
 from abcode.gf import (FieldContext, FieldElem, FieldError, ScalarField,
@@ -282,6 +283,37 @@ def test_scalar_tables_agree_with_scalar_ops(p, s, M):
             assert int(mul_t[a, b]) == sf.mul(a, b)
     for k in range(q - 1):
         assert log[int(exp[k])] == k
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
+def test_scalar_array_forms_agree_with_scalar_ops(p, s):
+    sf = ScalarField(build_context(p, s, 1))
+    q = sf.q
+    a = np.repeat(np.arange(q, dtype=np.uint8), q)     # every label pair
+    b = np.tile(np.arange(q, dtype=np.uint8), q)
+    c = b[::-1].copy()
+    x, y, z = a.tolist(), b.tolist(), c.tolist()
+    results = {
+        "add": (sf.add(a, b), [sf.add(u, v) for u, v in zip(x, y)]),
+        "mul": (sf.mul(a, b), [sf.mul(u, v) for u, v in zip(x, y)]),
+        "mul by one label": (sf.mul(a, q - 1), [sf.mul(u, q - 1) for u in x]),
+        "neg": (sf.neg(a), [sf.neg(u) for u in x]),
+        "submul": (sf.submul(a, c, b),
+                   [sf.sub(u, sf.mul(w, v)) for u, w, v in zip(x, z, y)]),
+    }
+    for name, (got, want) in results.items():
+        assert got.dtype == np.uint8, name
+        assert got.tolist() == want, name
+    rows = sf.mul(a, b).reshape(q, q)
+    got = sf.dot(rows, c[:q])
+    want = []
+    for row in rows.tolist():
+        acc = 0
+        for u, v in zip(row, z[:q]):
+            acc = sf.add(acc, sf.mul(u, v))
+        want.append(acc)
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
 
 
 def test_scalar_zero_has_no_inverse():
