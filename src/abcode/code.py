@@ -174,10 +174,8 @@ class AbelianCode:
         self.defining = defining
         self.ctx = build_context(p, s, M)
         self.scalars = ScalarField(self.ctx)
-        self.roots = tuple(root_of_unity(self.ctx, ri) for ri in amb.r)
         self.reps = restricted_reps(defining)
         self.tables = compute_tables(self.reps)
-        self._positions = None
         self._tensor = None
         self._parity = None
         self._generator = None
@@ -189,11 +187,6 @@ class AbelianCode:
     @property
     def dimension(self) -> int:
         return self.length - len(self.defining)
-
-    def positions(self):
-        if self._positions is None:
-            self._positions = self.ambient.positions()
-        return self._positions
 
     def __repr__(self):
         return (f"AbelianCode(q={self.ambient.q}, r={self.ambient.r}, "
@@ -218,46 +211,65 @@ class CheckTensor:
         return self.matrix[off:off + self.sizes[rep_index]]
 
 
+def _beta_powers(code: AbelianCode):
+    """[beta^0, ..., beta^(L-1)] as raw elements, beta of order L = lcm(r).
+
+    alpha_i = beta^(L / r_i), so every product of root powers is a power of
+    beta; the table costs L - 1 multiplies, and L is at most the length.
+    """
+    ctx = code.ctx
+    L = math.lcm(*code.ambient.r)
+    beta = root_of_unity(ctx, L).rep
+    powers = [ctx.one]
+    for _ in range(L - 1):
+        powers.append(ctx.mul(powers[-1], beta))
+    return powers
+
+
+def _exponents(code: AbelianCode, e) -> np.ndarray:
+    """k_j = sum_i (L / r_i) e_i j_i mod L for every position j.
+
+    prod_i alpha_i^(e_i j_i) = beta^(k_j); positions run in
+    Ambient.positions() order, the last axis fastest.
+    """
+    r = code.ambient.r
+    L = math.lcm(*r)
+    c = np.array([L // ri * ei % L for ri, ei in zip(r, e)], dtype=np.int64)
+    return c @ np.indices(r).reshape(len(r), -1) % L
+
+
 def check_tensor(code: AbelianCode, basis_shift: int = 0) -> CheckTensor:
     """Assemble the check tensor of the code.
 
     basis_shift b replaces the designated basis (1, g, ..., g^(d-1)) of each
     subfield with (g^b, ..., g^(d-1+b)); any b gives an equivalent tensor,
     which the verification tests rely on.
+
+    Every entry of a representative's block is a power beta^k, so each
+    block takes one subfield_coords call on the distinct powers that occur
+    and gathers the columns from its result.
     """
     if basis_shift == 0 and code._tensor is not None:
         return code._tensor
     ctx = code.ctx
     amb = code.ambient
-    positions = code.positions()
     reps = code.reps.reps
     sizes = tuple(code.tables.gamma(rep) for rep in reps)
     offsets = tuple(itertools.accumulate((0,) + sizes[:-1]))
-    total = sum(sizes)
     dtype = np.uint8 if amb.q <= 256 else np.uint16
-    mat = np.zeros((total, len(positions)), dtype=dtype)
-    for ri_idx, rep in enumerate(reps):
-        d = sizes[ri_idx]
-        pows = []
-        for axis, r_axis in enumerate(amb.r):
-            g = ctx.pow(code.roots[axis].rep, rep[axis])
-            cur = [ctx.one]
-            for _ in range(r_axis - 1):
-                cur.append(ctx.mul(cur[-1], g))
-            pows.append(cur)
-        shift_mult = None
+    mat = np.zeros((sum(sizes), amb.length), dtype=dtype)
+    powers = _beta_powers(code)
+    digits = np.array([ctx.digits(x) for x in powers], dtype=np.int64)
+    for rep, d, off in zip(reps, sizes, offsets):
+        ks, where = np.unique(_exponents(code, rep), return_inverse=True)
         if basis_shift:
             sub_order = amb.q**d - 1
-            gd = ctx.subfield_generator(d)
-            shift_mult = ctx.pow(gd, (-basis_shift) % sub_order) if sub_order else ctx.one
-        off = offsets[ri_idx]
-        for j, pos in enumerate(positions):
-            x = ctx.one
-            for axis in range(amb.n):
-                x = ctx.mul(x, pows[axis][pos[axis]])
-            if shift_mult is not None:
-                x = ctx.mul(x, shift_mult)
-            mat[off:off + d, j] = subfield_coords(ctx, FieldElem(ctx, x), d)
+            shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % sub_order)
+            elems = np.array([ctx.digits(ctx.mul(powers[k], shift)) for k in ks],
+                             dtype=np.int64)
+        else:
+            elems = digits[ks]
+        mat[off:off + d] = subfield_coords(ctx, elems, d)[where].T
     tensor = CheckTensor(tuple(reps), sizes, offsets, mat, basis_shift)
     if basis_shift == 0:
         code._tensor = tensor
@@ -294,17 +306,13 @@ def contains(code: AbelianCode, vec) -> bool:
 def evaluate_at_root(code: AbelianCode, vec, exponent) -> FieldElem:
     """P(alpha_1^e_1, ..., alpha_n^e_n) for a coefficient vector P."""
     ctx = code.ctx
-    acc = ctx.zero
     vec = np.asarray(vec)
-    for j, pos in enumerate(code.positions()):
-        label = int(vec[j])
-        if not label:
-            continue
-        x = code.scalars.element(label).rep
-        for axis in range(code.ambient.n):
-            x = ctx.mul(x, ctx.pow(code.roots[axis].rep,
-                                   (exponent[axis] * pos[axis]) % code.ambient.r[axis]))
-        acc = ctx.add(acc, x)
+    nonzero = np.flatnonzero(vec)
+    powers = _beta_powers(code)
+    coeffs = {int(c): code.scalars.element(int(c)).rep for c in np.unique(vec[nonzero])}
+    acc = ctx.zero
+    for label, k in zip(vec[nonzero], _exponents(code, exponent)[nonzero]):
+        acc = ctx.add(acc, ctx.mul(coeffs[int(label)], powers[k]))
     return FieldElem(ctx, acc)
 
 
@@ -379,9 +387,15 @@ def _gray_min(rows, l, budget=None):
 
     The low 20 rows are tabulated as numpy chunks; the remaining rows are
     walked in Gray-code order so each step is one row XOR plus vector ops.
+    Under a budget b the table holds at most 2^floor(log2 b) combinations
+    (at least 2), and no step runs that would take the evaluations past b;
+    with nothing evaluated the weight returned is the length l.
+    Returns (weight, witness int or None, evaluations, exact).
     """
     k = len(rows)
     split = min(k, 20)
+    if budget is not None:
+        split = min(split, max(1, budget.bit_length() - 1))
     nch = (l + 63) // 64
     mask64 = (1 << 64) - 1
     tabs = []
@@ -397,6 +411,8 @@ def _gray_min(rows, l, budget=None):
     hi = 0
     steps = 1 << (k - split)
     for step in range(steps):
+        if budget is not None and evals + (1 << split) > budget:
+            return (best if bw is not None else l), bw, evals, False
         if step:
             j = (step & -step).bit_length() - 1
             hi ^= rows[split + j]
@@ -416,8 +432,6 @@ def _gray_min(rows, l, budget=None):
                 low |= int(tabs[c][i]) << (64 * c)
             bw = low ^ hi
         evals += 1 << split
-        if budget is not None and evals >= budget and step + 1 < steps:
-            return best, bw, evals, False
     return best, bw, evals, True
 
 
@@ -616,12 +630,17 @@ def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> Distan
 
 
 def distance_at_least(code: AbelianCode, d: int, budget=None) -> bool:
-    """Decide d(C) >= d without necessarily resolving the exact distance."""
+    """Decide d(C) >= d without necessarily resolving the exact distance.
+
+    Over F_2 with d <= 5 the parity columns are searched by hashing (see
+    find_low_weight_codeword); every other case is the Brouwer-Zimmermann
+    decision of _bz_min, which stops once d is settled either way.
+    """
     if d <= 1:
         return True
     if code.dimension == 0:
         return True
-    if d <= 5:
+    if code.ambient.q == 2 and d <= 5:
         return find_low_weight_codeword(code, d - 1) is None
     lower, _, _, _ = _bz_min(generator_matrix(code), budget, decide_at_least=d)
     return lower >= d

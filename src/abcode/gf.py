@@ -442,28 +442,28 @@ def in_subfield(ctx: FieldContext, a: FieldElem, d: int) -> bool:
     return ctx.pow(a.rep, ctx.q**d) == a.rep
 
 
-def subfield_coords(ctx: FieldContext, a: FieldElem, d: int):
+def subfield_coords(ctx: FieldContext, a, d: int):
     """Coordinates of a over F_q in the designated basis of F_{q^d}.
 
-    Returns a length-d tuple of base field labels.  A label encodes the
-    element sum(c_j * eta^j) of F_q as the integer sum(c_j * p^j), so labels
-    0 and 1 are the field's 0 and 1, and for s = 1 the label is the residue.
+    For a FieldElem, returns a length-d tuple of base field labels.  a may
+    also be an (m, deg) integer array whose rows are the digits of m
+    elements (as FieldContext.digits gives them); the result is then an
+    (m, d) int64 label array, and FieldError is raised if any row lies
+    outside F_{q^d}.  A label encodes the element sum(c_j * eta^j) of F_q
+    as the integer sum(c_j * p^j), so labels 0 and 1 are the field's 0 and
+    1, and for s = 1 the label is the residue.
     """
     if ctx.M % d != 0:
         raise FieldError(f"d = {d} does not divide M = {ctx.M}")
     extract, consistency = ctx._solver(d)
-    vec = np.asarray(ctx.digits(a.rep), dtype=np.int64)
-    if consistency.size and np.any((consistency @ vec) % ctx.p):
+    single = isinstance(a, FieldElem)
+    rows = np.asarray([ctx.digits(a.rep)] if single else a, dtype=np.int64)
+    if consistency.size and np.any((rows @ consistency.T) % ctx.p):
         raise FieldError(f"element is not in F_{{q^{d}}}")
-    coords = (extract @ vec) % ctx.p
+    coords = (rows @ extract.T) % ctx.p
     p, s = ctx.p, ctx.s
-    out = []
-    for i in range(d):
-        label = 0
-        for j in range(s):
-            label += int(coords[i * s + j]) * p**j
-        out.append(label)
-    return tuple(out)
+    labels = coords.reshape(len(rows), d, s) @ p ** np.arange(s, dtype=np.int64)
+    return tuple(int(v) for v in labels[0]) if single else labels
 
 
 class ScalarField:

@@ -19,8 +19,7 @@ import numpy as np
 from sympy.ntheory import n_order
 
 from .code import (AbelianCode, MatrixGF, distance_at_least,
-                   find_low_weight_codeword, generator_matrix,
-                   standard_form_parity)
+                   generator_matrix, standard_form_parity)
 from .gamma import CheckSet, build_gamma
 from .orbit import Ambient, DefiningSet, orbits
 
@@ -322,10 +321,7 @@ def design_search(amb: Ambient, constraints: SearchConstraints):
         if constraints.d_min is not None:
             if k == 0:
                 continue
-            if constraints.d_min <= 5:
-                if find_low_weight_codeword(code, constraints.d_min - 1) is not None:
-                    continue
-            elif not distance_at_least(code, constraints.d_min):
+            if not distance_at_least(code, constraints.d_min):
                 continue
             d_passed = constraints.d_min
         cs = build_gamma(ds)

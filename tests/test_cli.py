@@ -1,6 +1,7 @@
 """Command-line front end: parsing, subcommands, exit codes, determinism."""
 
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -74,6 +75,16 @@ r: [11]
 defining_set:
   orbits: [1]
 """
+
+# ord_67(2) = 66: the roots of unity live in F_{2^66}, past the 64-bit policy
+SPEC_67 = """\
+q: 2
+r: [67]
+defining_set:
+  orbits: [1]
+"""
+
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def write(tmp_path, text, name="code.yaml"):
@@ -385,6 +396,36 @@ def test_bad_input_exits_2(tmp_path, capsys):
     path = write(tmp_path, "q: 2\nr: [3, 7]\n")
     assert main(["infoset", path, "--order", "1,1"]) == EXIT_BAD_INPUT
     capsys.readouterr()
+
+
+def run_module(module, *argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return subprocess.run([sys.executable, "-m", module, *argv],
+                          capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("sub", ["verify", "mindist"])
+def test_field_past_64_bits_exits_2(tmp_path, sub):
+    path = write(tmp_path, SPEC_67)
+    proc = run_module("abcode", sub, path)
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "64-bit" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_python_dash_m_matches_cli_module(tmp_path):
+    path = write(tmp_path, SPEC_37)
+    runs = {}
+    for order, want_exit in (("1,2", EXIT_OK), ("1,1", EXIT_BAD_INPUT)):
+        for module in ("abcode", "abcode.cli"):
+            proc = run_module(module, "infoset", path, "--order", order)
+            assert proc.returncode == want_exit
+            runs[module, order] = proc.stdout
+        assert runs["abcode", order] == runs["abcode.cli", order]
+    assert "dimension: 6" in runs["abcode", "1,2"]
 
 
 @pytest.mark.skipif(shutil.which("abcode") is None,

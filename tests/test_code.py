@@ -12,13 +12,15 @@ import random
 import numpy as np
 import pytest
 
+import abcode.code
 from abcode.code import (AbelianCode, MatrixGF, check_tensor, contains,
                          distance_at_least, encode, evaluate_at_root,
                          find_low_weight_codeword, generator_matrix,
                          min_distance, parity_matrix, standard_form_parity,
                          verify_check_positions)
 from abcode.gamma import CheckSet, build_gamma
-from abcode.gf import ScalarField, build_context
+from abcode.gf import (FieldElem, FieldError, ScalarField, build_context,
+                       root_of_unity, subfield_coords)
 from abcode.orbit import (Ambient, DefiningSet, from_orbit_reps, orbits,
                           validate_defining_set)
 
@@ -79,6 +81,45 @@ def naive_mul_vec(sf, data, vec):
             acc = sf.add(acc, sf.mul(int(a), int(b)))
         out.append(acc)
     return out
+
+
+def naive_roots(code):
+    """alpha_i, the canonical element of order r_i, for every axis."""
+    return [root_of_unity(code.ctx, ri).rep for ri in code.ambient.r]
+
+
+def naive_check_tensor(code, basis_shift=0):
+    """Check tensor entry by entry: a product of root powers, then one
+    coordinate solve per entry."""
+    ctx, amb = code.ctx, code.ambient
+    dtype = np.uint8 if amb.q <= 256 else np.uint16
+    mat = np.zeros((len(code.defining), amb.length), dtype=dtype)
+    row = 0
+    for rep in code.reps.reps:
+        d = code.tables.gamma(rep)
+        gens = [ctx.pow(root, e) for root, e in zip(naive_roots(code), rep)]
+        shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % (amb.q**d - 1))
+        for j, pos in enumerate(amb.positions()):
+            x = shift
+            for g, t in zip(gens, pos):
+                x = ctx.mul(x, ctx.pow(g, t))
+            mat[row:row + d, j] = subfield_coords(ctx, FieldElem(ctx, x), d)
+        row += d
+    return mat
+
+
+def naive_evaluate_at_root(code, vec, exponent):
+    """P(alpha^e) with one ctx.pow per axis and position."""
+    ctx, amb = code.ctx, code.ambient
+    roots = naive_roots(code)
+    acc = ctx.zero
+    for j, pos in enumerate(amb.positions()):
+        if vec[j]:
+            x = code.scalars.element(int(vec[j])).rep
+            for root, e, t, r in zip(roots, exponent, pos, amb.r):
+                x = ctx.mul(x, ctx.pow(root, e * t % r))
+            acc = ctx.add(acc, x)
+    return acc
 
 
 FIELD_SIZES = (2, 3, 4, 5, 8, 9)
@@ -262,6 +303,53 @@ def test_check_tensor_blocks_and_shift_invariance():
         assert stacked.rank() == len(TWO_AXIS)
 
 
+def tensor_codes():
+    """Named codes, random small ambients over every FIELD_SIZES q with
+    n = 1..3, an r_i = 1 axis, empty and full defining sets, and the
+    (2;61) code over F_{2^60}."""
+    yield from NAMED.items()
+    rng = random.Random(41)
+    for q in FIELD_SIZES:
+        for n in (1, 2, 3):
+            r = tuple(rng.choice([v for v in range(2, 10) if math.gcd(v, q) == 1])
+                      for _ in range(n))
+            amb = Ambient(q, r)
+            members = frozenset(m for o in orbits(amb) if rng.random() < 0.5 for m in o)
+            yield f"q{q}r{r}", DefiningSet(amb, members)
+    for amb in (Ambient(3, (1, 4)), Ambient(2, (7, 1)), Ambient(5, (1,))):
+        yield f"{amb.r}-unit-axis", DefiningSet(amb, frozenset(
+            m for o in orbits(amb)[1:] for m in o))
+    amb = Ambient(4, (3, 5))
+    yield "empty", DefiningSet(amb, frozenset())
+    yield "full", DefiningSet(amb, frozenset(amb.positions()))
+    yield "C61", from_orbit_reps(Ambient(2, (61,)), [(1,)])
+
+
+TENSOR_CODES = dict(tensor_codes())
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_CODES))
+def test_check_tensor_matches_naive(name):
+    code = AbelianCode(TENSOR_CODES[name])
+    for shift in (0, 1, 2, 5):
+        got = check_tensor(code, basis_shift=shift).matrix
+        want = naive_check_tensor(code, shift)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    rng = random.Random(42)
+    for _ in range(3):
+        vec = np.array([rng.randrange(code.ambient.q) if rng.random() < 0.5 else 0
+                        for _ in range(code.length)])
+        e = tuple(rng.randrange(ri) for ri in code.ambient.r)
+        assert evaluate_at_root(code, vec, e).rep == naive_evaluate_at_root(code, vec, e)
+
+
+def test_field_past_64_bits_is_refused():
+    # ord_67(2) = 66, so the roots of unity need F_{2^66}
+    with pytest.raises(FieldError, match="64-bit"):
+        AbelianCode(from_orbit_reps(Ambient(2, (67,)), [(1,)]))
+
+
 # ---------- verification ----------
 
 
@@ -387,6 +475,34 @@ def test_distance_at_least_nonbinary_beyond_weight_five():
     assert not distance_at_least(code, 11)
 
 
+def test_distance_at_least_nonbinary_skips_support_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("support enumeration used for q > 2")
+
+    monkeypatch.setattr(abcode.code, "find_low_weight_codeword", refuse)
+    assert distance_at_least(AbelianCode(C358), 5)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_distance_at_least_nonbinary_matches_full(q):
+    rng = random.Random(43)
+    trials = 0
+    while trials < 8:
+        r = tuple(rng.choice([v for v in range(2, 14) if math.gcd(v, q) == 1])
+                  for _ in range(rng.randint(1, 2)))
+        amb = Ambient(q, r)
+        if amb.length > 30:
+            continue
+        members = frozenset(m for o in orbits(amb) if rng.random() < 0.5 for m in o)
+        code = AbelianCode(DefiningSet(amb, members))
+        if not 0 < code.dimension or q**code.dimension > 1 << 14:
+            continue
+        upper = min_distance(code, method="full").upper
+        for d in range(2, 7):
+            assert distance_at_least(code, d) == (upper >= d)
+        trials += 1
+
+
 # (code, method) -> (lower, upper, method, evaluations, witness) of
 # min_distance, pinned so that any change to the row reduction or to the
 # enumeration order shows up as a changed witness or evaluation count
@@ -442,6 +558,8 @@ def test_budget_bracket_is_sound(name, method, d, budget):
         assert contains(code, res.witness)
     if res.is_exact:
         assert res.lower == res.upper == d
+    if method == "gray":
+        assert res.evaluations <= max(budget, 2)
 
 
 # ---------- low weight search ----------

@@ -210,20 +210,22 @@ def test_in_subfield_counts():
     assert not in_subfield(ctx, reps[2], 3)  # 3 does not divide M
 
 
-@pytest.mark.parametrize("p,s,M,d", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 2, 2, 2), (3, 1, 2, 2)])
+@pytest.mark.parametrize("p,s,M,d", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 2, 2, 2),
+                                     (3, 1, 2, 2), (2, 2, 2, 1), (3, 2, 2, 1)])
 def test_subfield_coords_reconstruct(p, s, M, d):
     ctx = build_context(p, s, M)
     sf = ScalarField(ctx)
     gd = ctx.subfield_generator(d)
     sub_size = ctx.q**d
-    count = 0
+    inside, outside = [], []
     for enc in range(ctx.order):
         a = FieldElem(ctx, ctx.decode(enc))
         if not in_subfield(ctx, a, d):
             with pytest.raises(FieldError):
                 subfield_coords(ctx, a, d)
+            outside.append(a)
             continue
-        count += 1
+        inside.append(a)
         coords = subfield_coords(ctx, a, d)
         assert len(coords) == d
         acc = ctx.zero
@@ -232,7 +234,20 @@ def test_subfield_coords_reconstruct(p, s, M, d):
             acc = ctx.add(acc, ctx.mul(sf.element(label).rep, gpow))
             gpow = ctx.mul(gpow, gd)
         assert acc == a.rep
-    assert count == sub_size
+    assert len(inside) == sub_size
+    # the array form: one row of digits per element, one row of labels out
+    rows = np.array([ctx.digits(a.rep) for a in inside])
+    labels = subfield_coords(ctx, rows, d)
+    assert labels.shape == (sub_size, d)
+    assert [tuple(row) for row in labels.tolist()] == \
+        [subfield_coords(ctx, a, d) for a in inside]
+    assert subfield_coords(ctx, rows[:0], d).shape == (0, d)
+    # one row outside the subfield, anywhere in the batch, is refused
+    rng = random.Random(19)
+    for a in outside[:8]:
+        bad = np.insert(rows, rng.randrange(len(rows) + 1), ctx.digits(a.rep), axis=0)
+        with pytest.raises(FieldError):
+            subfield_coords(ctx, bad, d)
 
 
 def test_subfield_coords_bad_degree():
