@@ -19,13 +19,13 @@ from .gf import (FieldContext, FieldElem, FieldError, ScalarField,
                  build_context, frobenius, generator, in_subfield,
                  root_of_unity, subfield_coords)
 from .orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,
-                    check_restriction, coset, coset_size, from_orbit_reps,
-                    normalize_ordering, orbits, permute, project, qorbit,
-                    restricted_reps, unpermute, validate_defining_set)
-from .permdec import (LambdaElem, PDResult, PDSet, SearchConstraints,
-                      SearchHit, apply_to_vector, design_report,
-                      design_search, enumerate_lambda, frobenius_order,
-                      identity_elem, is_pd_set, lambda_pd_set, lemma13_check,
-                      lemma15_check, permutation_decode, translation_subgroup)
+                    check_restriction, coset, coset_size, frobenius_order,
+                    from_orbit_reps, normalize_ordering, orbits, permute,
+                    project, qorbit, restricted_reps, unpermute,
+                    validate_defining_set)
+from .permdec import (PDResult, PDSet, SearchConstraints, SearchHit,
+                      design_report, design_search, enumerate_lambda,
+                      is_pd_set, lemma13_check, lemma15_check,
+                      permutation_decode, translation_subgroup)
 
 __version__ = "0.1.0"

@@ -18,12 +18,11 @@ from typing import Optional
 
 import numpy as np
 import sympy
-from sympy.ntheory import n_order
 
 from .gamma import CheckSet, compute_tables
 from .gf import (FieldElem, FieldError, ScalarField, build_context,
                  root_of_unity, subfield_coords)
-from .orbit import Ambient, DefiningSet, restricted_reps
+from .orbit import Ambient, DefiningSet, frobenius_order, restricted_reps
 
 _FULL_ENUM_LIMIT = 1 << 20
 _GRAY_MAX_K = 28
@@ -166,13 +165,9 @@ class AbelianCode:
     def __init__(self, defining: DefiningSet):
         amb = defining.ambient
         p, s = _prime_power(amb.q)
-        M = 1
-        for ri in amb.r:
-            if ri > 1:
-                M = math.lcm(M, int(n_order(amb.q, ri)))
         self.ambient = amb
         self.defining = defining
-        self.ctx = build_context(p, s, M)
+        self.ctx = build_context(p, s, frobenius_order(amb))
         self.scalars = ScalarField(self.ctx)
         self.reps = restricted_reps(defining)
         self.tables = compute_tables(self.reps)

@@ -473,11 +473,11 @@ class ScalarField:
     digitwise mod p; products go through the ambient context (cached in
     numpy tables for vectorized matrix work).
 
-    add, neg and mul also take label arrays: when a is a numpy array (b an
-    array broadcastable with it, or one label) they return an array of a's
-    dtype.  submul and dot are the fused forms the matrix kernels need.  For
-    s = 1 the array forms are integer arithmetic mod p, otherwise lookups in
-    the tables.  Elementwise they run in int32, which holds p^2 because
+    add, neg, sub and mul also take label arrays: when a is a numpy array
+    (b an array broadcastable with it, or one label) they return an array of
+    a's dtype.  submul and dot are the fused forms the matrix kernels need.
+    For s = 1 the array forms are integer arithmetic mod p, otherwise lookups
+    in the tables.  Elementwise they run in int32, which holds p^2 because
     q <= 4096; dot sums in int64.
     """
 
@@ -542,7 +542,7 @@ class ScalarField:
             w *= p
         return out
 
-    def sub(self, a: int, b: int) -> int:
+    def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

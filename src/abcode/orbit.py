@@ -99,6 +99,15 @@ def coset_size(a: int, r: int, q: int, power: int = 1) -> int:
     return len(coset(a, r, q, power))
 
 
+def frobenius_order(amb: Ambient) -> int:
+    """Multiplicative order of q modulo lcm(r_1, ..., r_n).
+
+    This is the number of distinct position maps j -> q^f * j, and the
+    smallest M with every r_i dividing q^M - 1.
+    """
+    return coset_size(1, math.lcm(*amb.r), amb.q)
+
+
 def qorbit(amb: Ambient, a) -> tuple:
     """The joint q-orbit of an index tuple, as a sorted tuple of tuples."""
     a = amb.reduce(a)

@@ -2,130 +2,103 @@
 
 Coordinate translations T_v and the Frobenius position map j -> q*j
 generate a subgroup of the permutation automorphisms of every abelian
-code on the ambient.  Elements are kept in the normal form
-j -> q^i * (j + v), using sigma T_v = T_{q v} sigma.  A PD-set drawn from
-this subgroup moves any small error pattern entirely into the check
-positions, at which point one syndrome computation repairs the word.
+code on the ambient.  Each element has the normal form j -> q^f * (j + v),
+using sigma T_v = T_{q v} sigma.  A group is one int64 table of shape
+(|G|, l): row i is a permutation, and perm[j] is the index of the image of
+position j.  A PD-set drawn from this subgroup moves any small error
+pattern entirely into the check positions, at which point one syndrome
+computation repairs the word.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from sympy.ntheory import n_order
 
-from .code import (AbelianCode, MatrixGF, distance_at_least,
-                   generator_matrix, standard_form_parity)
+from .code import AbelianCode, MatrixGF, distance_at_least
 from .gamma import CheckSet, build_gamma
-from .orbit import Ambient, DefiningSet, orbits
+from .orbit import Ambient, DefiningSet, frobenius_order, orbits
 
 _PD_SUBSET_BUDGET = 2_000_000
 
-
-def frobenius_order(amb: Ambient) -> int:
-    """Multiplicative order of q modulo lcm(r_1, ..., r_n)."""
-    m = math.lcm(*amb.r)
-    return int(n_order(amb.q, m)) if m > 1 else 1
+# bench/spans.py looks up this former class to count calls of its
+# as_permutation; a group element is now a row of a group table.
+LambdaElem = np.ndarray
 
 
-@dataclass(frozen=True)
-class LambdaElem:
-    """Position permutation j -> q^frob * (j + shift), componentwise."""
-
-    ambient: Ambient
-    shift: tuple
-    frob: int
-
-    def __post_init__(self):
-        amb = self.ambient
-        object.__setattr__(self, "shift",
-                           tuple(int(v) % r for v, r in zip(self.shift, amb.r)))
-        object.__setattr__(self, "frob", int(self.frob) % frobenius_order(amb))
-        if len(self.shift) != amb.n:
-            raise ValueError("shift length does not match the ambient")
-
-    def apply(self, pos):
-        amb = self.ambient
-        mult = pow(amb.q, self.frob)
-        return tuple((mult * (p + v)) % r
-                     for p, v, r in zip(pos, self.shift, amb.r))
-
-    def inverse(self) -> "LambdaElem":
-        amb = self.ambient
-        ordq = frobenius_order(amb)
-        mult = pow(amb.q, self.frob)
-        inv_shift = tuple((-mult * v) % r for v, r in zip(self.shift, amb.r))
-        return LambdaElem(amb, inv_shift, (ordq - self.frob) % ordq)
-
-    def compose(self, other: "LambdaElem") -> "LambdaElem":
-        """self after other: (self.compose(other)).apply == self.apply(other.apply(.))."""
-        amb = self.ambient
-        if other.ambient != amb:
-            raise ValueError("elements act on different ambients")
-        ordq = frobenius_order(amb)
-        q_inv_pow = pow(amb.q, (ordq - other.frob) % ordq)
-        shift = tuple((ov + q_inv_pow * sv) % r
-                      for ov, sv, r in zip(other.shift, self.shift, amb.r))
-        return LambdaElem(amb, shift, self.frob + other.frob)
-
-    def as_permutation(self) -> np.ndarray:
-        """Index array perm with perm[j] = index of the image of position j."""
-        amb = self.ambient
-        return np.array([amb.index_of(self.apply(pos)) for pos in amb.positions()],
-                        dtype=np.int64)
-
-    def is_identity(self) -> bool:
-        return self.frob == 0 and not any(self.shift)
+def _coords(amb: Ambient) -> np.ndarray:
+    """(n, l) coordinates of the positions in lexicographic order."""
+    return np.indices(amb.r).reshape(amb.n, -1)
 
 
-def identity_elem(amb: Ambient) -> LambdaElem:
-    return LambdaElem(amb, (0,) * amb.n, 0)
+def _index_table(amb: Ambient, coords: np.ndarray) -> np.ndarray:
+    """Position indices of coordinates (axis 0), reduced mod r."""
+    return np.ravel_multi_index(tuple(coords), amb.r,
+                                mode="wrap").astype(np.int64)
 
 
-def enumerate_lambda(amb: Ambient):
-    """The full subgroup, identity first, then (frob, shift) lexicographic."""
-    ordq = frobenius_order(amb)
-    out = []
-    for i in range(ordq):
-        for v in amb.positions():
-            out.append(LambdaElem(amb, v, i))
-    return out
+def translation_subgroup(amb: Ambient) -> np.ndarray:
+    """The coordinate translations as an (l, l) table.
+
+    Row v is T_v: entry j is the index of position j + v.  Row 0 is the
+    identity.
+    """
+    x = _coords(amb)
+    return _index_table(amb, x[:, :, None] + x[:, None, :])
 
 
-def translation_subgroup(amb: Ambient):
-    """Just the coordinate translations T_v (frob = 0)."""
-    return [LambdaElem(amb, v, 0) for v in amb.positions()]
+def enumerate_lambda(amb: Ambient) -> np.ndarray:
+    """The whole subgroup as an (ord * l, l) table.
+
+    Row i is the element j -> q^f * (j + v) with f = i // l and
+    v = amb.tuple_of(i % l): the identity first, then (frob, shift)
+    lexicographic.  The rows for frob f are M_f[T], where T is the
+    translation table and M_f the index map j -> q^f * j.
+    """
+    T = translation_subgroup(amb)
+    x = _coords(amb)
+    rows = []
+    for f in range(frobenius_order(amb)):
+        mult = np.array([pow(amb.q, f, ri) for ri in amb.r]).reshape(-1, 1)
+        rows.append(_index_table(amb, mult * x)[T])
+    return np.concatenate(rows)
 
 
-def apply_to_vector(tau: LambdaElem, vec) -> np.ndarray:
-    vec = np.asarray(vec)
-    perm = tau.as_permutation()
-    out = np.empty_like(vec)
-    out[perm] = vec
-    return out
+def _group_table(amb: Ambient, elements) -> np.ndarray:
+    elements = np.asarray(elements)
+    if elements.ndim != 2 or elements.shape[1] != amb.length:
+        raise ValueError(f"group table of shape {elements.shape} does not "
+                         f"act on the {amb.length} positions of the ambient")
+    return elements
 
 
-@dataclass(frozen=True)
+def _info_mask(amb: Ambient, info_set) -> np.ndarray:
+    mask = np.zeros(amb.length, dtype=bool)
+    mask[[amb.index_of(tuple(t)) for t in info_set]] = True
+    return mask
+
+
+@dataclass(frozen=True, eq=False)
 class PDSet:
-    elements: tuple
+    """A claimed s-PD-set: a (|G|, l) group table and the set it serves.
+
+    Equality and hashing are by identity, since a table has no truth value.
+    """
+
+    elements: np.ndarray
     s: int
     info_set: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "elements", np.asarray(self.elements))
         object.__setattr__(self, "info_set",
                            frozenset(tuple(t) for t in self.info_set))
         if self.s < 1:
             raise ValueError("claimed error capacity must be at least 1")
-
-
-def lambda_pd_set(cs: CheckSet, s: int) -> PDSet:
-    """PDSet built from the whole subgroup, serving the complement of cs."""
-    return PDSet(enumerate_lambda(cs.ambient), s, frozenset(cs.complement()))
 
 
 @dataclass
@@ -141,26 +114,22 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
               budget: int = _PD_SUBSET_BUDGET) -> PDResult:
     """Exhaustive Definition-style check over all s-subsets of positions.
 
-    A subset S is served when some element maps it entirely outside the
-    information set.  Per position we keep the bitmask of serving elements;
-    a subset is served iff the AND of its masks is nonzero, and any zero
-    partial AND already dooms every superset, which prunes the walk.
+    elements is a (|G|, l) group table.  A subset S is served when some
+    row maps it entirely outside the information set.  Per position we keep
+    the bitmask of serving rows; a subset is served iff the AND of its masks
+    is nonzero, and any zero partial AND already dooms every superset, which
+    prunes the walk.
     """
     if s < 1:
         raise ValueError("s must be at least 1")
     l = amb.length
     if math.comb(l, s) > budget:
         raise ValueError(f"C({l}, {s}) exceeds the subset budget {budget}")
-    elements = list(elements)
-    positions = amb.positions()
-    info_idx = {amb.index_of(tuple(t)) for t in info_set}
-    masks = [0] * l
-    for ti, tau in enumerate(elements):
-        perm = tau.as_permutation()
-        bit = 1 << ti
-        for xi in range(l):
-            if int(perm[xi]) not in info_idx:
-                masks[xi] |= bit
+    elements = _group_table(amb, elements)
+    # served[x, g]: row g moves position x outside the information set
+    served = ~_info_mask(amb, info_set)[elements.T]
+    packed = np.packbits(served, axis=1, bitorder="little")
+    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     witness = None
 
@@ -183,13 +152,8 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
 
     full = (1 << len(elements)) - 1
     if walk(0, full, []):
-        return PDResult(False, tuple(positions[x] for x in witness))
+        return PDResult(False, tuple(amb.tuple_of(x) for x in witness))
     return PDResult(True)
-
-
-def check_pd_set(code: AbelianCode, pd: PDSet,
-                 budget: int = _PD_SUBSET_BUDGET) -> PDResult:
-    return is_pd_set(code.ambient, pd.elements, pd.info_set, pd.s, budget)
 
 
 # ---------- sufficient conditions for two-variable codes ----------
@@ -251,17 +215,14 @@ def permutation_decode(code: AbelianCode, H_std: MatrixGF, pd: PDSet,
     received = np.asarray(received)
     if received.shape != (amb.length,):
         raise ValueError("received word has the wrong length")
-    info = {tuple(t_) for t_ in pd.info_set}
-    check_cols = [j for j, pos in enumerate(amb.positions()) if pos not in info]
-    for tau in pd.elements:
-        perm = tau.as_permutation()
-        y = np.empty_like(received)
-        y[perm] = received
-        syn = H_std.mul_vec(y)
+    perms = _group_table(amb, pd.elements)
+    check_cols = np.flatnonzero(~_info_mask(amb, pd.info_set))
+    for perm in perms:
+        c = np.empty_like(received)
+        c[perm] = received
+        syn = H_std.mul_vec(c)
         if int(np.count_nonzero(syn)) <= t:
-            c = y.copy()
-            for i, col in enumerate(check_cols):
-                c[col] = f.sub(int(c[col]), int(syn[i]))
+            c[check_cols] = f.sub(c[check_cols], syn)
             return c[perm]
     return None
 

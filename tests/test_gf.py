@@ -313,6 +313,7 @@ def test_scalar_array_forms_agree_with_scalar_ops(p, s):
         "mul": (sf.mul(a, b), [sf.mul(u, v) for u, v in zip(x, y)]),
         "mul by one label": (sf.mul(a, q - 1), [sf.mul(u, q - 1) for u in x]),
         "neg": (sf.neg(a), [sf.neg(u) for u in x]),
+        "sub": (sf.sub(a, b), [sf.sub(u, v) for u, v in zip(x, y)]),
         "submul": (sf.submul(a, c, b),
                    [sf.sub(u, sf.mul(w, v)) for u, w, v in zip(x, z, y)]),
     }

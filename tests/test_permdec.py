@@ -1,25 +1,27 @@
 """Translation/Frobenius subgroup, PD-set checks, decoding, design search.
 
-The group laws are checked against raw permutation composition; the PD
-property against its definition (recomputing served subsets); decoding
-against exact codeword recovery.
+The group tables are checked against the per-element formula and the
+group laws against raw permutation composition; the PD property against
+its definition (recomputing served subsets); decoding against the
+per-word loop and exact codeword recovery.
 """
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from sympy.ntheory import n_order
 
 from abcode.code import (AbelianCode, contains, generator_matrix,
                          standard_form_parity)
 from abcode.gamma import CheckSet, build_gamma
-from abcode.orbit import Ambient, from_orbit_reps, orbits, validate_defining_set
-from abcode.permdec import (LambdaElem, PDSet, SearchConstraints, apply_to_vector,
-                            check_pd_set, design_report, design_search,
-                            enumerate_lambda, frobenius_order, identity_elem,
-                            is_pd_set, lambda_pd_set, lemma13_check,
-                            lemma15_check, permutation_decode,
+from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
+                          from_orbit_reps, orbits, validate_defining_set)
+from abcode.permdec import (PDSet, SearchConstraints, design_report,
+                            design_search, enumerate_lambda, is_pd_set,
+                            lemma13_check, lemma15_check, permutation_decode,
                             translation_subgroup)
 
 HAMMING = from_orbit_reps(Ambient(2, (7,)), [(1,)])
@@ -28,6 +30,14 @@ C59 = from_orbit_reps(Ambient(2, (5, 9)), [(1, 0), (1, 2)])   # 29-dim sample
 C315 = from_orbit_reps(Ambient(2, (3, 15)),
                        [(0, 3), (0, 7), (1, 0), (1, 11)])     # 31-dim sample
 C513 = from_orbit_reps(Ambient(2, (5, 13)), [(0, 0), (0, 1), (1, 1)])
+TERNARY_13 = from_orbit_reps(Ambient(3, (13,)), [(1,), (4,)])  # k=7, d=5
+
+# q in {2, 3, 4, 9}, n = 1..3, axes with r_i = 1, and the length-1 ambient
+TABLE_AMBIENTS = [Ambient(2, (1,)), Ambient(2, (7,)), Ambient(2, (1, 7)),
+                  Ambient(2, (3, 5)), Ambient(2, (3, 1, 5)),
+                  Ambient(3, (8,)), Ambient(3, (2, 5)), Ambient(3, (1, 2, 4)),
+                  Ambient(4, (5,)), Ambient(4, (3, 5)), Ambient(9, (4,)),
+                  Ambient(9, (2, 5))]
 
 
 def random_codeword(rng, code):
@@ -42,6 +52,47 @@ def random_codeword(rng, code):
     return vec
 
 
+# ---------- naive oracles ----------
+
+
+def naive_frobenius_order(amb):
+    return math.lcm(*(int(n_order(amb.q, ri)) for ri in amb.r if ri > 1))
+
+
+def naive_lambda_table(amb):
+    """One row per element j -> q^f * (j + v), (frob, shift) lexicographic."""
+    rows = []
+    for f in range(naive_frobenius_order(amb)):
+        mult = amb.q ** f
+        for v in amb.positions():
+            rows.append([amb.index_of(tuple(mult * (p + w) % r
+                                            for p, w, r in zip(pos, v, amb.r)))
+                         for pos in amb.positions()])
+    return np.array(rows, dtype=np.int64)
+
+
+def served_by(table, info_idx, subset):
+    """Some row maps every position of subset outside the information set."""
+    return any(not any(int(row[x]) in info_idx for x in subset)
+               for row in table)
+
+
+def naive_decode(code, H_std, table, info_set, received, t):
+    check_cols = [j for j, pos in enumerate(code.ambient.positions())
+                  if pos not in info_set]
+    f = code.scalars
+    for perm in table:
+        y = np.empty_like(received)
+        y[perm] = received
+        syn = H_std.mul_vec(y)
+        if int(np.count_nonzero(syn)) <= t:
+            c = y.copy()
+            for i, col in enumerate(check_cols):
+                c[col] = f.sub(int(c[col]), int(syn[i]))
+            return c[perm]
+    return None
+
+
 # ---------- group structure ----------
 
 
@@ -52,49 +103,64 @@ def test_frobenius_order_values():
     assert frobenius_order(Ambient(2, (1,))) == 1
 
 
+def test_frobenius_order_matches_per_axis_orders():
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for r in itertools.product(range(1, 22, 2), (1, 4, 10, 13)):
+            if all(math.gcd(ri, q) == 1 for ri in r):
+                amb = Ambient(q, r)
+                assert frobenius_order(amb) == naive_frobenius_order(amb)
+
+
+@pytest.mark.parametrize("amb", TABLE_AMBIENTS, ids=str)
+def test_tables_match_the_per_element_formula(amb):
+    want = naive_lambda_table(amb)
+    l = amb.length
+    lam = enumerate_lambda(amb)
+    trans = translation_subgroup(amb)
+    assert lam.dtype == trans.dtype == np.int64
+    assert lam.shape == (frobenius_order(amb) * l, l)
+    assert lam.tobytes() == want.tobytes()
+    assert trans.shape == (l, l)
+    assert trans.tobytes() == want[:l].tobytes()
+
+
 def test_enumerate_lambda_sizes_and_distinctness():
     amb = Ambient(2, (3, 5))
     lam = enumerate_lambda(amb)
-    assert len(lam) == 15 * 4
-    assert lam[0].is_identity()
-    perms = {tuple(t.as_permutation()) for t in lam}
-    assert len(perms) == len(lam)
+    assert lam.shape == (15 * 4, 15)
+    assert np.array_equal(lam[0], np.arange(15))
+    assert len({row.tobytes() for row in lam}) == len(lam)
     trans = translation_subgroup(amb)
-    assert len(trans) == 15
-    assert all(t.frob == 0 for t in trans)
+    assert np.array_equal(trans, lam[:15])
 
 
 def test_group_laws():
     amb = Ambient(2, (3, 5))
     lam = enumerate_lambda(amb)
+    rows = {row.tobytes() for row in lam}
     rng = random.Random(51)
-    pos = amb.positions()
     for _ in range(60):
-        a = rng.choice(lam)
-        b = rng.choice(lam)
-        c = a.compose(b)
-        p = rng.choice(pos)
-        assert c.apply(p) == a.apply(b.apply(p))
-        pa, pb, pc = a.as_permutation(), b.as_permutation(), c.as_permutation()
-        assert np.array_equal(pc, pa[pb])
-        assert a.compose(a.inverse()).is_identity()
-        assert a.inverse().compose(a).is_identity()
-    e = identity_elem(amb)
-    assert all(e.apply(p) == p for p in pos)
+        a = lam[rng.randrange(len(lam))]
+        b = lam[rng.randrange(len(lam))]
+        assert a[b].tobytes() in rows
+        inv = np.argsort(a)
+        assert inv.tobytes() in rows
+        assert np.array_equal(a[inv], np.arange(amb.length))
 
 
 def test_frobenius_normalizes_translations():
-    # sigma T_v = T_{q v} sigma
+    # sigma T_v = T_{q v} sigma, with (P Q)[j] = P[Q[j]]
     amb = Ambient(2, (3, 5))
-    sigma = LambdaElem(amb, (0, 0), 1)
+    l = amb.length
+    lam = enumerate_lambda(amb)
+    trans = translation_subgroup(amb)
+    sigma = lam[l]
     rng = random.Random(52)
     for _ in range(20):
         v = (rng.randrange(3), rng.randrange(5))
-        tv = LambdaElem(amb, v, 0)
-        tqv = LambdaElem(amb, amb.scale(v, 2), 0)
-        lhs = sigma.compose(tv).as_permutation()
-        rhs = tqv.compose(sigma).as_permutation()
-        assert np.array_equal(lhs, rhs)
+        tv = trans[amb.index_of(v)]
+        tqv = trans[amb.index_of(amb.scale(v, 2))]
+        assert np.array_equal(sigma[tv], tqv[sigma])
 
 
 @pytest.mark.parametrize("D", [TWO_AXIS_37, C315])
@@ -104,8 +170,9 @@ def test_lambda_elements_are_code_automorphisms(D):
     rng = random.Random(53)
     for _ in range(15):
         c = random_codeword(rng, code)
-        tau = rng.choice(lam)
-        assert contains(code, apply_to_vector(tau, c))
+        y = np.empty_like(c)
+        y[lam[rng.randrange(len(lam))]] = c
+        assert contains(code, y)
 
 
 # ---------- PD-set predicate ----------
@@ -124,12 +191,14 @@ def test_pd_set_negative_with_witness():
     amb = Ambient(2, (7,))
     cs = build_gamma(HAMMING)
     info = cs.complement()
-    res = is_pd_set(amb, [identity_elem(amb)], info, 1)
+    identity = np.arange(7)[None]
+    res = is_pd_set(amb, identity, info, 1)
     assert not res
     assert len(res.witness) == 1
     # a witness subset is served by no element at all
-    for tau in [identity_elem(amb)]:
-        assert any(tau.apply(x) in info for x in res.witness)
+    for perm in identity:
+        assert any(amb.tuple_of(perm[amb.index_of(x)]) in info
+                   for x in res.witness)
 
 
 def test_pd_witness_is_genuinely_unserved():
@@ -139,8 +208,42 @@ def test_pd_witness_is_genuinely_unserved():
     elements = translation_subgroup(amb)[:3]
     res = is_pd_set(amb, elements, info, 2)
     if not res:
-        for tau in elements:
-            assert any(tau.apply(x) in info for x in res.witness)
+        for perm in elements:
+            assert any(amb.tuple_of(perm[amb.index_of(x)]) in info
+                       for x in res.witness)
+
+
+@pytest.mark.parametrize("amb", [Ambient(2, (3, 5)), Ambient(2, (1, 7)),
+                                 Ambient(3, (8,)), Ambient(3, (2, 4)),
+                                 Ambient(4, (3, 5))], ids=str)
+def test_pd_verdicts_match_brute_force(amb):
+    rng = random.Random(amb.q * 100 + amb.length)
+    lam = enumerate_lambda(amb)
+    trans = translation_subgroup(amb)
+    for _ in range(4):
+        cs = build_gamma(DefiningSet(amb, frozenset(
+            m for o in orbits(amb) if rng.random() < 0.5 for m in o)))
+        info = cs.complement()
+        info_idx = {amb.index_of(t) for t in info}
+        for s in (1, 2, 3):
+            for table in (lam, trans, trans[:3]):
+                res = is_pd_set(amb, table, info, s)
+                subsets = itertools.combinations(range(amb.length), s)
+                want = all(served_by(table, info_idx, S) for S in subsets)
+                assert res.ok == want
+                if not res.ok:
+                    assert len(res.witness) == s
+                    witness = [amb.index_of(x) for x in res.witness]
+                    assert not served_by(table, info_idx, witness)
+
+
+def test_pd_set_empty_table_fails_with_witness():
+    amb = Ambient(2, (3, 5))
+    info = build_gamma(from_orbit_reps(amb, [(1, 1)])).complement()
+    for s in (1, 2, 3):
+        res = is_pd_set(amb, np.empty((0, 15), dtype=np.int64), info, s)
+        assert not res
+        assert len(res.witness) == s
 
 
 def test_pd_set_budget_and_validation():
@@ -153,11 +256,25 @@ def test_pd_set_budget_and_validation():
         PDSet((), 0, frozenset())
 
 
-def test_check_pd_set_wrapper():
-    code = AbelianCode(C59)
-    pd = lambda_pd_set(build_gamma(C59), 2)
-    assert pd.s == 2
-    assert check_pd_set(code, pd)
+def test_pd_set_compares_by_identity():
+    table = translation_subgroup(Ambient(2, (3, 5)))
+    pd = PDSet(table, 1, frozenset())
+    assert pd == pd and pd in {pd}
+    assert pd != PDSet(table, 1, frozenset())
+
+
+def test_group_table_must_fit_the_ambient():
+    code = AbelianCode(HAMMING)
+    amb = code.ambient
+    cs = build_gamma(HAMMING)
+    H_std, _ = standard_form_parity(code, cs)
+    word = np.zeros(7, dtype=np.uint8)
+    for wrong in (translation_subgroup(Ambient(2, (3, 5))), np.arange(7)):
+        with pytest.raises(ValueError):
+            is_pd_set(amb, wrong, cs.complement(), 1)
+        with pytest.raises(ValueError):
+            permutation_decode(code, H_std, PDSet(wrong, 1, cs.complement()),
+                               word, 1)
 
 
 # ---------- sufficient conditions ----------
@@ -231,11 +348,35 @@ def test_decode_returns_none_when_nothing_serves():
     code = AbelianCode(HAMMING)
     cs = build_gamma(HAMMING)
     H_std, _ = standard_form_parity(code, cs)
-    pd = PDSet([identity_elem(code.ambient)], 1, cs.complement())
+    pd = PDSet(np.arange(7)[None], 1, cs.complement())
     c = np.zeros(7, dtype=np.uint8)
     r = c.copy()
     r[code.ambient.index_of(sorted(cs.complement())[0])] ^= 1
     assert permutation_decode(code, H_std, pd, r, 1) is None
+
+
+@pytest.mark.parametrize("D", [C315, TERNARY_13], ids=["C315", "q3"])
+def test_decode_matches_the_per_word_loop(D):
+    code = AbelianCode(D)
+    amb = code.ambient
+    cs = build_gamma(D)
+    H_std, _ = standard_form_parity(code, cs)
+    info = cs.complement()
+    rng = random.Random(56)
+    for table in (translation_subgroup(amb), enumerate_lambda(amb)):
+        pd = PDSet(table, 2, info)
+        for _ in range(40):
+            c = random_codeword(rng, code)
+            r = c.copy()
+            for j in rng.sample(range(amb.length), rng.randrange(4)):
+                r[j] = (r[j] + rng.randrange(1, amb.q)) % amb.q
+            got = permutation_decode(code, H_std, pd, r, 2)
+            want = naive_decode(code, H_std, table, info, r, 2)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
 
 def test_decode_validates_length():
