@@ -105,19 +105,12 @@ class MatrixGF:
     def mul_vec(self, vec) -> np.ndarray:
         return self.field.dot(self.data, np.asarray(vec))
 
-    def mul_mat(self, other: "MatrixGF") -> "MatrixGF":
-        cols = [self.mul_vec(other.data[:, j]) for j in range(other.data.shape[1])]
-        return MatrixGF(self.field, np.stack(cols, axis=1), role="matrix")
-
     def row_ints(self):
         """Rows packed into ints, bit j = column j (q = 2 only)."""
         if self.field.q != 2:
             raise ValueError("bit packing requires q = 2")
         packed = np.packbits(self.data, axis=1, bitorder="little")
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(str(int(v)) for v in row) for row in self.data)
 
     def __repr__(self):
         return f"MatrixGF(role={self.role!r}, shape={self.data.shape}, q={self.field.q})"
@@ -197,13 +190,6 @@ class CheckTensor:
     offsets: tuple
     matrix: np.ndarray
     basis_shift: int = 0
-
-    def column(self, j: int) -> np.ndarray:
-        return self.matrix[:, j]
-
-    def block(self, rep_index: int) -> np.ndarray:
-        off = self.offsets[rep_index]
-        return self.matrix[off:off + self.sizes[rep_index]]
 
 
 def _beta_powers(code: AbelianCode):
@@ -485,97 +471,64 @@ def _enum_weight_min_labels(f, multiples, w, best):
     return best, wit
 
 
-def _bz_matrices(G):
-    """RREF copies of the generator over pairwise disjoint pivot sets.
-
-    Returns a list of (MatrixGF, fresh_rank): fresh_rank pivots of each
-    matrix fall on columns unused by all previous ones.
-    """
-    k, l = G.shape
-    used = set()
-    mats = []
-    while len(used) < l:
-        order = [c for c in range(l) if c not in used] + sorted(used)
-        red, pivots = G.rref(order)
-        fresh = [c for c in pivots if c not in used]
-        if not fresh or len(pivots) < k:
-            break
-        mats.append((red, len(fresh)))
-        used.update(fresh)
-    return mats
-
-
 def _bz_min(G, budget=None, decide_at_least=None):
-    """Information-set enumeration in the Brouwer-Zimmermann style.
+    """Information-set enumeration on one systematic generator.
 
     Returns (lower, upper, witness, evaluations) with lower <= d <= upper.
     upper is the witness weight, or the length when the budget ran out
     before any codeword was seen; lower == upper when d is resolved.
 
+    G must generate a translation-invariant code, which every abelian code
+    is; nothing here can check that.  The translations act transitively on
+    the l positions, so with I the pivot columns of the RREF every
+    translate I + v is an information set too.  Once every combination of
+    at most w rows has been tried, a codeword lighter than the best seen
+    meets each I + v in at least w + 1 places, and counting over all l
+    translates gives d * k >= l * (w + 1).  Over F_2, when every generator
+    row has even weight, all codewords do, so an odd bound is rounded up.
+
     Only the weight-w enumeration depends on q: XOR of bit-packed rows for
-    q = 2, label arrays over the nonzero scalars otherwise.  Over F_2, when
-    every generator row has even weight, all codewords do, so an odd lower
-    bound can be rounded up; this is what makes weight-8 distances at
-    dimension 40 certifiable without a depth-7 pass.
+    q = 2, label arrays over the nonzero scalars otherwise.
     """
     f = G.field
     k, l = G.shape
-    mats = _bz_matrices(G)
+    red, _ = G.rref()
     if f.q == 2:
         even = not np.any(np.count_nonzero(G.data, axis=1) % 2)
-        packed = [red.row_ints() for red, _ in mats]
+        packed = red.row_ints()
 
-        def scan(i, w, best):
-            best, x = _enum_weight_min_bits(packed[i], w, best)
+        def scan(w, best):
+            best, x = _enum_weight_min_bits(packed, w, best)
             return best, (None if x is None else _unpack_rows([x], l)[0])
     else:
         even = False
         nonzero = np.arange(1, f.q, dtype=G.data.dtype)[:, None]
-        multiples = [f.mul(red.data[:, None, :], nonzero) for red, _ in mats]
+        multiples = f.mul(red.data[:, None, :], nonzero)
 
-        def scan(i, w, best):
-            return _enum_weight_min_labels(f, multiples[i], w, best)
+        def scan(w, best):
+            return _enum_weight_min_labels(f, multiples, w, best)
 
-    completed = [0] * len(mats)
     ub = l + 1
     wit = None
     evals = 0
-
-    def lower_bound():
-        lb = sum(max(0, completed[i] + 1 - (k - r)) for i, (_, r) in enumerate(mats))
-        if even and lb % 2:
-            lb += 1
-        return lb
-
-    def bracket(lower):
-        return lower, (ub if wit is not None else l), wit, evals
-
     w = 0
     while True:
-        lb = lower_bound()
+        lb = -(-l * (w + 1) // k)
+        if even and lb % 2:
+            lb += 1
+        upper = ub if wit is not None else l
         if lb >= ub:
-            return bracket(ub)
+            return upper, upper, wit, evals
         if decide_at_least is not None and (lb >= decide_at_least or ub < decide_at_least):
-            return bracket(lb)
+            return lb, upper, wit, evals
         w += 1
-        if w > k:
-            return bracket(ub)
-        for i, (_, r) in enumerate(mats):
-            gain = w + 1 - (k - r)
-            if gain <= 0 and w > 2:
-                continue
-            cost = math.comb(k, w) * (f.q - 1) ** w
-            if budget is not None and evals + cost > budget:
-                return bracket(lower_bound())
-            evals += cost
-            new_ub, new_wit = scan(i, w, ub)
-            if new_wit is not None:
-                ub, wit = new_ub, new_wit
-            completed[i] = w
-            if lower_bound() >= ub:
-                return bracket(ub)
-            if decide_at_least is not None and ub < decide_at_least:
-                return bracket(lower_bound())
+        cost = math.comb(k, w) * (f.q - 1) ** w
+        if budget is not None and evals + cost > budget:
+            return lb, upper, wit, evals
+        evals += cost
+        new_ub, new_wit = scan(w, ub)
+        if new_wit is not None:
+            ub, wit = new_ub, new_wit
 
 
 def _full_min(code, G):
@@ -624,93 +577,29 @@ def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> Distan
     raise ValueError(f"unknown method {method!r}")
 
 
-def distance_at_least(code: AbelianCode, d: int, budget=None) -> bool:
+def distance_at_least(code: AbelianCode, d: int) -> bool:
     """Decide d(C) >= d without necessarily resolving the exact distance.
 
-    Over F_2 with d <= 5 the parity columns are searched by hashing (see
-    find_low_weight_codeword); every other case is the Brouwer-Zimmermann
-    decision of _bz_min, which stops once d is settled either way.
+    Runs _bz_min until its bracket settles d either way.
     """
-    if d <= 1:
+    if d <= 1 or code.dimension == 0:
         return True
-    if code.dimension == 0:
-        return True
-    if code.ambient.q == 2 and d <= 5:
-        return find_low_weight_codeword(code, d - 1) is None
-    lower, _, _, _ = _bz_min(generator_matrix(code), budget, decide_at_least=d)
+    lower, _, _, _ = _bz_min(generator_matrix(code), decide_at_least=d)
     return lower >= d
 
 
 def find_low_weight_codeword(code: AbelianCode, wmax: int):
     """A nonzero codeword of weight <= wmax, or None.
 
-    Works on the parity matrix: a codeword of weight w corresponds to w
-    linearly dependent columns.  For q = 2 and wmax <= 4 the search is a
-    hash of column XOR pairs; otherwise supports are enumerated directly.
+    The decision of distance_at_least(code, wmax + 1), keeping its witness.
+    wmax is clamped to the length first: asked to decide d(C) > l, _bz_min
+    would stop before it had seen any codeword.
     """
-    l = code.length
-    if wmax < 1:
-        return None
-    if len(code.defining) == 0:
-        vec = np.zeros(l, dtype=np.uint8)
-        vec[0] = 1
-        return vec
     if code.dimension == 0:
         return None
-    H = parity_matrix(code)
-
-    def vec_of(support, values):
-        out = np.zeros(l, dtype=np.uint8)
-        for j, v in zip(support, values):
-            out[j] = v
-        return out
-
-    if code.ambient.q == 2 and wmax <= 4:
-        cols = MatrixGF(code.scalars, H.data.T).row_ints()
-        for j, c in enumerate(cols):
-            if c == 0:
-                return vec_of([j], [1])
-        if wmax < 2:
-            return None
-        seen = {}
-        for j, c in enumerate(cols):
-            if c in seen:
-                return vec_of([seen[c], j], [1, 1])
-            seen[c] = j
-        if wmax < 3:
-            return None
-        for a in range(l):
-            for b in range(a + 1, l):
-                x = cols[a] ^ cols[b]
-                j = seen.get(x)
-                if j is not None and j not in (a, b):
-                    return vec_of([a, b, j], [1, 1, 1])
-        if wmax < 4:
-            return None
-        pairs = {}
-        for a in range(l):
-            for b in range(a + 1, l):
-                x = cols[a] ^ cols[b]
-                if x in pairs:
-                    c, d = pairs[x]
-                    if len({a, b, c, d}) == 4:
-                        return vec_of([c, d, a, b], [1, 1, 1, 1])
-                else:
-                    pairs[x] = (a, b)
-        return None
-
-    max_supports = 5_000_000
-    total = sum(math.comb(l, w) for w in range(1, wmax + 1))
-    if total > max_supports:
-        raise ValueError("support enumeration too large; use distance_at_least")
-    f = code.scalars
-    for w in range(1, wmax + 1):
-        for support in itertools.combinations(range(l), w):
-            sub = MatrixGF(f, H.data[:, list(support)])
-            ker = sub.nullspace()
-            if ker.data.shape[0]:
-                return vec_of(support, [int(v) for v in ker.data[0]])
-    return None
+    _, upper, wit, _ = _bz_min(generator_matrix(code),
+                               decide_at_least=min(wmax, code.length) + 1)
+    return wit if upper <= wmax else None
 
 
 # ---------- encoding ----------

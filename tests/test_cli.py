@@ -310,6 +310,27 @@ def test_mindist_nonbinary_budget_bracket(tmp_path, capsys):
     assert doc["lower"] <= 5 <= doc["upper"]
 
 
+def test_mindist_zero_code_exits_2(tmp_path, capsys):
+    path = write(tmp_path, "q: 2\nr: [7]\ndefining_set:\n  orbits: [0, 1, 3]\n")
+    assert main(["mindist", path]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert "zero code" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text,d", [
+    ("q: 3\nr: [5]\n", 1),                                          # empty set
+    ("q: 2\nr: [1, 7]\ndefining_set:\n  orbits: [\"0,1\"]\n", 3),   # r_1 = 1
+])
+@pytest.mark.parametrize("method", ["bz", "auto"])
+def test_mindist_edge_ambients(tmp_path, capsys, text, d, method):
+    path = write(tmp_path, text)
+    code, out = run_cli(capsys, "mindist", path, "--method", method)
+    assert code == EXIT_OK
+    assert f"minimum distance: {d}\n" in out
+
+
 # ---------- pdset / decode ----------
 
 
