@@ -83,6 +83,11 @@ def parse_spec(text: str) -> CodeSpec:
         q = int(data["q"])
     except KeyError:
         raise SpecError("missing field: q")
+    except TypeError:
+        raise SpecError(f"q must be an integer, not {data['q']!r}")
+    ds_block = data.get("defining_set") or {}
+    if not isinstance(ds_block, dict):
+        raise SpecError("defining_set must be a mapping with orbits or explicit")
 
     ordering = None
     if data.get("ordering") is not None:
@@ -98,7 +103,6 @@ def parse_spec(text: str) -> CodeSpec:
         cmap = CrtMap(block["factors"], block.get("units"))
         if "l" in data and int(data["l"]) != cmap.length:
             raise SpecError(f"l = {data['l']} but the factors multiply to {cmap.length}")
-        ds_block = data.get("defining_set") or {}
         residues = ds_block.get("explicit", ds_block.get("orbits", []))
         members = set()
         l = cmap.length
@@ -118,8 +122,9 @@ def parse_spec(text: str) -> CodeSpec:
         r = tuple(int(x) for x in data["r"])
     except KeyError:
         raise SpecError("missing field: r (or a crt block)")
+    except TypeError:
+        raise SpecError(f"r must be a list of integers, not {data['r']!r}")
     amb = Ambient(q, r)
-    ds_block = data.get("defining_set") or {}
     if "orbits" in ds_block:
         reps = [_parse_index(e, amb.n) for e in ds_block["orbits"]]
         defining = from_orbit_reps(amb, reps)
@@ -336,13 +341,14 @@ def cmd_decode(spec: CodeSpec, args) -> int:
     code = AbelianCode(spec.defining)
     l = code.length
     try:
-        word = np.array([int(x) for x in args.word.split(",")], dtype=np.uint8)
+        entries = [int(x) for x in args.word.split(",")]
     except ValueError:
         raise SpecError("word must be comma-separated integers")
-    if word.shape != (l,):
-        raise SpecError(f"word length {word.size}, ambient length {l}")
-    if np.any(word >= spec.q):
+    if len(entries) != l:
+        raise SpecError(f"word length {len(entries)}, ambient length {l}")
+    if not all(0 <= x < spec.q for x in entries):
         raise SpecError(f"word entries must lie in 0..{spec.q - 1}")
+    word = np.array(entries, dtype=code.scalars.dtype)
     H_std, _ = standard_form_parity(code, cs)
     elements = _group_elements(spec.ambient, args.group)
     pd = PDSet(elements, args.errors, frozenset(cs.complement()))

@@ -20,8 +20,8 @@ import numpy as np
 import sympy
 
 from .gamma import CheckSet, compute_tables
-from .gf import (FieldElem, FieldError, ScalarField, build_context,
-                 root_of_unity, subfield_coords)
+from .gf import (FieldElem, FieldError, MatrixGF, ScalarField, _unpack_rows,
+                 build_context, root_of_unity, subfield_coords)
 from .orbit import Ambient, DefiningSet, frobenius_order, restricted_reps
 
 _FULL_ENUM_LIMIT = 1 << 20
@@ -34,119 +34,6 @@ def _prime_power(q: int):
         raise ValueError(f"q = {q} is not a prime power")
     ((p, s),) = fac.items()
     return int(p), int(s)
-
-
-# ---------- dense matrices over F_q ----------
-
-
-class MatrixGF:
-    """Dense matrix over the base field, entries stored as integer labels."""
-
-    def __init__(self, scalars: ScalarField, data, role: str = "matrix"):
-        self.field = scalars
-        dtype = np.uint8 if scalars.q <= 256 else np.uint16
-        self.data = np.array(data, dtype=dtype, copy=True)
-        if self.data.ndim != 2:
-            self.data = self.data.reshape(1, -1)
-        self.role = role
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def rref(self, col_order=None):
-        """Reduced row echelon form; returns (MatrixGF, pivot column list).
-
-        col_order restricts and orders the pivot search; columns not listed
-        are never used as pivots.  Over F_2 the rows are reduced bit-packed.
-        """
-        f = self.field
-        m, n = self.data.shape
-        if col_order is None:
-            col_order = range(n)
-        if f.q == 2:
-            rows, pivots = _rref_ints(self.row_ints(), col_order)
-            return MatrixGF(f, _unpack_rows(rows, n), role="rref"), pivots
-        A = self.data.copy()
-        pivots = []
-        for col in col_order:
-            row = len(pivots)
-            if row == m:
-                break
-            nz = np.nonzero(A[row:, col])[0]
-            if nz.size == 0:
-                continue
-            pr = row + int(nz[0])
-            if pr != row:
-                A[[row, pr]] = A[[pr, row]]
-            inv = f.inv(int(A[row, col]))
-            if inv != 1:
-                A[row] = f.mul(A[row], inv)
-            others = np.nonzero(A[:, col])[0]
-            others = others[others != row]
-            if others.size:
-                A[others] = f.submul(A[others], A[others, col][:, None], A[row])
-            pivots.append(col)
-        return MatrixGF(f, A, role="rref"), pivots
-
-    def rank(self, col_order=None) -> int:
-        return len(self.rref(col_order)[1])
-
-    def nullspace(self):
-        """Basis of the right kernel, one row per basis vector."""
-        n = self.data.shape[1]
-        R, pivots = self.rref()
-        free = sorted(set(range(n)).difference(pivots))
-        basis = np.zeros((len(free), n), dtype=self.data.dtype)
-        basis[np.arange(len(free)), free] = 1
-        basis[:, pivots] = self.field.neg(R.data[:len(pivots)][:, free]).T
-        return MatrixGF(self.field, basis, role="generator")
-
-    def mul_vec(self, vec) -> np.ndarray:
-        return self.field.dot(self.data, np.asarray(vec))
-
-    def row_ints(self):
-        """Rows packed into ints, bit j = column j (q = 2 only)."""
-        if self.field.q != 2:
-            raise ValueError("bit packing requires q = 2")
-        packed = np.packbits(self.data, axis=1, bitorder="little")
-        return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    def __repr__(self):
-        return f"MatrixGF(role={self.role!r}, shape={self.data.shape}, q={self.field.q})"
-
-
-def _rref_ints(rows, col_order):
-    """RREF of bit-packed rows; returns (all rows, pivot cols).
-
-    Rows are swapped and reduced exactly as the label kernel of
-    MatrixGF.rref does, so row i holds pivot i and rows past the last pivot
-    keep the same order.
-    """
-    rows = list(rows)
-    pivots = []
-    for col in col_order:
-        row = len(pivots)
-        if row == len(rows):
-            break
-        bit = 1 << col
-        pr = next((i for i in range(row, len(rows)) if rows[i] & bit), None)
-        if pr is None:
-            continue
-        rows[row], rows[pr] = rows[pr], rows[row]
-        piv = rows[row]
-        rows = [r ^ piv if r & bit else r for r in rows]
-        rows[row] = piv
-        pivots.append(col)
-    return rows, pivots
-
-
-def _unpack_rows(rows, n):
-    """Inverse of MatrixGF.row_ints: a (len(rows), n) 0/1 label array."""
-    nbytes = (n + 7) // 8
-    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
-    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(packed, axis=1, count=n, bitorder="little")
 
 
 # ---------- the code itself ----------
@@ -193,18 +80,13 @@ class CheckTensor:
 
 
 def _beta_powers(code: AbelianCode):
-    """[beta^0, ..., beta^(L-1)] as raw elements, beta of order L = lcm(r).
+    """(L, deg) digit rows of beta^0, ..., beta^(L-1), beta of order L = lcm(r).
 
     alpha_i = beta^(L / r_i), so every product of root powers is a power of
-    beta; the table costs L - 1 multiplies, and L is at most the length.
+    beta, and L is at most the length.
     """
-    ctx = code.ctx
     L = math.lcm(*code.ambient.r)
-    beta = root_of_unity(ctx, L).rep
-    powers = [ctx.one]
-    for _ in range(L - 1):
-        powers.append(ctx.mul(powers[-1], beta))
-    return powers
+    return code.ctx.powers(root_of_unity(code.ctx, L).rep, L)
 
 
 def _exponents(code: AbelianCode, e) -> np.ndarray:
@@ -237,19 +119,14 @@ def check_tensor(code: AbelianCode, basis_shift: int = 0) -> CheckTensor:
     reps = code.reps.reps
     sizes = tuple(code.tables.gamma(rep) for rep in reps)
     offsets = tuple(itertools.accumulate((0,) + sizes[:-1]))
-    dtype = np.uint8 if amb.q <= 256 else np.uint16
-    mat = np.zeros((sum(sizes), amb.length), dtype=dtype)
+    mat = np.zeros((sum(sizes), amb.length), dtype=code.scalars.dtype)
     powers = _beta_powers(code)
-    digits = np.array([ctx.digits(x) for x in powers], dtype=np.int64)
     for rep, d, off in zip(reps, sizes, offsets):
         ks, where = np.unique(_exponents(code, rep), return_inverse=True)
+        elems = powers[ks]
         if basis_shift:
-            sub_order = amb.q**d - 1
-            shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % sub_order)
-            elems = np.array([ctx.digits(ctx.mul(powers[k], shift)) for k in ks],
-                             dtype=np.int64)
-        else:
-            elems = digits[ks]
+            shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % (amb.q**d - 1))
+            elems = elems @ ctx.mul_matrix(shift) % ctx.p
         mat[off:off + d] = subfield_coords(ctx, elems, d)[where].T
     tensor = CheckTensor(tuple(reps), sizes, offsets, mat, basis_shift)
     if basis_shift == 0:
@@ -289,11 +166,11 @@ def evaluate_at_root(code: AbelianCode, vec, exponent) -> FieldElem:
     ctx = code.ctx
     vec = np.asarray(vec)
     nonzero = np.flatnonzero(vec)
-    powers = _beta_powers(code)
+    beta = root_of_unity(ctx, math.lcm(*code.ambient.r)).rep
     coeffs = {int(c): code.scalars.element(int(c)).rep for c in np.unique(vec[nonzero])}
     acc = ctx.zero
     for label, k in zip(vec[nonzero], _exponents(code, exponent)[nonzero]):
-        acc = ctx.add(acc, ctx.mul(coeffs[int(label)], powers[k]))
+        acc = ctx.add(acc, ctx.mul(coeffs[int(label)], ctx.pow(beta, int(k))))
     return FieldElem(ctx, acc)
 
 
@@ -632,7 +509,7 @@ def encode(code: AbelianCode, cs: CheckSet, info_values) -> np.ndarray:
     f = code.scalars
     l = code.length
     info = set(code.ambient.positions()) - set(cs.positions)
-    y = np.zeros(l, dtype=H_std.data.dtype if len(check_cols) else np.uint8)
+    y = np.zeros(l, dtype=f.dtype)
     for pos, val in info_values.items():
         pos = tuple(pos)
         if pos not in info:

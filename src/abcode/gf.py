@@ -11,6 +11,11 @@ otherwise it is a tuple of digits mod p.  Every deterministic choice made
 here (modulus, generator, subfield bases) follows one rule: candidates are
 ordered by the integer encoding sum(c_i * p^i) and the smallest valid one
 wins.  Two contexts built from the same (p, s, M) are therefore identical.
+
+Multiplication by a fixed element is F_p-linear, so bulk work (power tables,
+basis changes, subfield solvers) runs as matrix products mod p on digit
+rows.  Dense matrices over F_q (MatrixGF) live here as well: their row
+reduction is the only one, and the subfield solvers use it over F_p.
 """
 
 from __future__ import annotations
@@ -35,16 +40,6 @@ def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
-    for i, v in enumerate(b):
-        out[i] = (out[i] + v) % p
-    return _poly_trim(out)
 
 
 def _poly_sub(a, b, p):
@@ -180,6 +175,8 @@ class FieldContext:
             self.zero = (0,) * deg
             self.one = (1,) + (0,) * (deg - 1)
 
+        # matrix products mod p stay exact in int64 while deg * (p-1)^2 fits
+        self._digit_dtype = np.int64 if deg * (p - 1) ** 2 < 1 << 63 else object
         self._n_factors = tuple(sorted(sympy.factorint(self.N))) if self.N > 1 else ()
         self.generator_rep = self._find_generator()
         self._solvers = {}
@@ -237,21 +234,8 @@ class FieldContext:
                 if a & top:
                     a ^= self._mod_int
             return acc
-        p, deg = self.p, self.deg
-        t = [0] * (2 * deg - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        t[i + j] = (t[i + j] + ai * bj) % p
-        mod = self.modulus
-        for i in range(2 * deg - 2, deg - 1, -1):
-            c = t[i]
-            if c:
-                shift = i - deg
-                for j in range(deg + 1):
-                    t[shift + j] = (t[shift + j] - c * mod[j]) % p
-        return tuple(t[:deg])
+        t = _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
+        return tuple(t) + (0,) * (self.deg - len(t))
 
     def pow(self, a, e: int):
         if e < 0:
@@ -313,46 +297,59 @@ class FieldContext:
         return self.pow(self.generator_rep, self.N // sub_order)
 
     def _solver(self, d: int):
-        """Cached F_p-linear solver for coordinates of F_{q^d} over F_q."""
-        if d in self._solvers:
-            return self._solvers[d]
-        p, s, deg = self.p, self.s, self.deg
-        gd = self.subfield_generator(d)
-        eta = self.eta()
-        cols = []
-        gpow = self.one
-        for _ in range(d):
-            epow = self.one
-            for _ in range(s):
-                cols.append(self.digits(self.mul(gpow, epow)))
-                epow = self.mul(epow, eta)
-            gpow = self.mul(gpow, gd)
-        ncols = d * s
-        # row reduce [B | I] over F_p; B has full column rank ncols
-        aug = np.zeros((deg, ncols + deg), dtype=np.int64)
-        for j, col in enumerate(cols):
-            aug[:, j] = col
-        aug[:, ncols:] = np.eye(deg, dtype=np.int64)
-        row = 0
-        for col in range(ncols):
-            piv = None
-            for r in range(row, deg):
-                if aug[r, col] % p:
-                    piv = r
-                    break
-            if piv is None:
+        """Cached F_p-linear solver for coordinates of F_{q^d} over F_q.
+
+        Column t*s + u of B holds the digits of g_d^t * eta^u.  Row reducing
+        [B | I] over F_p leaves a left inverse of B in the first d*s rows and,
+        below them, the checks that vanish exactly on the span of B.
+        """
+        if d not in self._solvers:
+            prime = ScalarField(build_context(self.p, 1, 1))
+            ncols = d * self.s
+            eta = self.mul_matrix(self.eta())
+            blocks = [self.powers(self.subfield_generator(d), d)]
+            for _ in range(self.s - 1):
+                blocks.append(blocks[-1] @ eta % self.p)
+            B = np.stack(blocks, axis=1).reshape(ncols, self.deg).T
+            aug = MatrixGF(prime, np.hstack([B, np.eye(self.deg, dtype=B.dtype)]))
+            red, pivots = aug.rref(col_order=range(ncols))
+            if len(pivots) < ncols:
                 raise FieldError("subfield basis degenerate (unreachable)")
-            aug[[row, piv]] = aug[[piv, row]]
-            inv = pow(int(aug[row, col]) % p, -1, p)
-            aug[row] = (aug[row] * inv) % p
-            for r in range(deg):
-                if r != row and aug[r, col] % p:
-                    aug[r] = (aug[r] - aug[r, col] * aug[row]) % p
-            row += 1
-        extract = aug[:ncols, ncols:] % p
-        consistency = aug[ncols:, ncols:] % p
-        self._solvers[d] = (extract, consistency)
+            sol = red.data[:, ncols:].astype(np.int64)
+            self._solvers[d] = (sol[:ncols], sol[ncols:])
         return self._solvers[d]
+
+    # -- F_p-linear maps on digit rows --
+
+    def mul_matrix(self, a):
+        """The deg x deg matrix of y -> a*y on digit rows: row i is digits(a * x^i).
+
+        Each row is the one above multiplied by x: shift up one degree, then
+        replace x^deg by minus the low coefficients of the modulus.
+        """
+        low = np.array(self.modulus[:-1], dtype=self._digit_dtype)
+        m = np.zeros((self.deg, self.deg), dtype=self._digit_dtype)
+        m[0] = self.digits(a)
+        for i in range(1, self.deg):
+            m[i, 1:] = m[i - 1, :-1]
+            m[i] = (m[i] - m[i - 1, -1] * low) % self.p
+        return m
+
+    def powers(self, a, n: int):
+        """(n, deg) digit rows of a^0, ..., a^(n-1), by doubling.
+
+        Rows [m, 2m) are rows [0, m) times the matrix of a^m, so the table
+        costs about 2 log2(n) matrix products mod p.
+        """
+        out = np.zeros((n, self.deg), dtype=self._digit_dtype)
+        out[:1, 0] = 1
+        step = self.mul_matrix(a)
+        m = 1
+        while m < n:
+            out[m:2 * m] = out[:min(m, n - m)] @ step % self.p
+            step = step @ step % self.p
+            m *= 2
+        return out
 
     # -- dunders --
 
@@ -488,6 +485,7 @@ class ScalarField:
         self.q = ctx.q
         if self.q > 4096:
             raise FieldError("base field too large for tabulated scalar work")
+        self.dtype = np.uint8 if self.q <= 256 else np.uint16
         self._tables = None
 
     # label <-> element of the context
@@ -597,17 +595,11 @@ class ScalarField:
     def tables(self):
         """(add_table, mul_table, neg_table, log, exp) as numpy label arrays."""
         if self._tables is None:
-            q = self.q
-            dtype = np.uint8 if q <= 256 else np.uint16
-            eta = self.ctx.eta()
-            exp = np.zeros(max(q - 1, 1), dtype=dtype)
+            q, dtype = self.q, self.dtype
+            exp = subfield_coords(self.ctx, self.ctx.powers(self.ctx.eta(), q - 1), 1)
+            exp = exp[:, 0].astype(dtype)
             log = np.zeros(q, dtype=np.int64)
-            acc = self.ctx.one
-            for k in range(q - 1):
-                label = self.label_of(FieldElem(self.ctx, acc))
-                exp[k] = label
-                log[label] = k
-                acc = self.ctx.mul(acc, eta)
+            log[exp] = np.arange(q - 1)
             add_table = np.zeros((q, q), dtype=dtype)
             mul_table = np.zeros((q, q), dtype=dtype)
             neg_table = np.zeros(q, dtype=dtype)
@@ -622,3 +614,115 @@ class ScalarField:
 
     def __repr__(self):
         return f"ScalarField(q={self.q})"
+
+
+# ---------- dense matrices over F_q ----------
+
+
+class MatrixGF:
+    """Dense matrix over the base field, entries stored as integer labels."""
+
+    def __init__(self, scalars: ScalarField, data, role: str = "matrix"):
+        self.field = scalars
+        self.data = np.array(data, dtype=scalars.dtype, copy=True)
+        if self.data.ndim != 2:
+            self.data = self.data.reshape(1, -1)
+        self.role = role
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    def rref(self, col_order=None):
+        """Reduced row echelon form; returns (MatrixGF, pivot column list).
+
+        col_order restricts and orders the pivot search; columns not listed
+        are never used as pivots.  Over F_2 the rows are reduced bit-packed.
+        """
+        f = self.field
+        m, n = self.data.shape
+        if col_order is None:
+            col_order = range(n)
+        if f.q == 2:
+            rows, pivots = _rref_ints(self.row_ints(), col_order)
+            return MatrixGF(f, _unpack_rows(rows, n), role="rref"), pivots
+        A = self.data.copy()
+        pivots = []
+        for col in col_order:
+            row = len(pivots)
+            if row == m:
+                break
+            nz = np.nonzero(A[row:, col])[0]
+            if nz.size == 0:
+                continue
+            pr = row + int(nz[0])
+            if pr != row:
+                A[[row, pr]] = A[[pr, row]]
+            inv = f.inv(int(A[row, col]))
+            if inv != 1:
+                A[row] = f.mul(A[row], inv)
+            others = np.nonzero(A[:, col])[0]
+            others = others[others != row]
+            if others.size:
+                A[others] = f.submul(A[others], A[others, col][:, None], A[row])
+            pivots.append(col)
+        return MatrixGF(f, A, role="rref"), pivots
+
+    def rank(self, col_order=None) -> int:
+        return len(self.rref(col_order)[1])
+
+    def nullspace(self):
+        """Basis of the right kernel, one row per basis vector."""
+        n = self.data.shape[1]
+        R, pivots = self.rref()
+        free = sorted(set(range(n)).difference(pivots))
+        basis = np.zeros((len(free), n), dtype=self.data.dtype)
+        basis[np.arange(len(free)), free] = 1
+        basis[:, pivots] = self.field.neg(R.data[:len(pivots)][:, free]).T
+        return MatrixGF(self.field, basis, role="generator")
+
+    def mul_vec(self, vec) -> np.ndarray:
+        return self.field.dot(self.data, np.asarray(vec))
+
+    def row_ints(self):
+        """Rows packed into ints, bit j = column j (q = 2 only)."""
+        if self.field.q != 2:
+            raise ValueError("bit packing requires q = 2")
+        packed = np.packbits(self.data, axis=1, bitorder="little")
+        return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+    def __repr__(self):
+        return f"MatrixGF(role={self.role!r}, shape={self.data.shape}, q={self.field.q})"
+
+
+def _rref_ints(rows, col_order):
+    """RREF of bit-packed rows; returns (all rows, pivot cols).
+
+    Rows are swapped and reduced exactly as the label kernel of
+    MatrixGF.rref does, so row i holds pivot i and rows past the last pivot
+    keep the same order.
+    """
+    rows = list(rows)
+    pivots = []
+    for col in col_order:
+        row = len(pivots)
+        if row == len(rows):
+            break
+        bit = 1 << col
+        pr = next((i for i in range(row, len(rows)) if rows[i] & bit), None)
+        if pr is None:
+            continue
+        rows[row], rows[pr] = rows[pr], rows[row]
+        piv = rows[row]
+        rows = [r ^ piv if r & bit else r for r in rows]
+        rows[row] = piv
+        pivots.append(col)
+    return rows, pivots
+
+
+def _unpack_rows(rows, n):
+    """Inverse of MatrixGF.row_ints: a (len(rows), n) 0/1 label array."""
+    nbytes = (n + 7) // 8
+    buf = b"".join(r.to_bytes(nbytes, "little") for r in rows)
+    packed = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little")

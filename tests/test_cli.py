@@ -130,6 +130,21 @@ def test_parse_spec_rejects_bad_documents():
             parse_spec(text)
 
 
+@pytest.mark.parametrize("text", [
+    "q: [2]\nr: [7]\n",                                  # q not an integer
+    "q: 2\nr: 7\n",                                      # r not a list
+    "q: 2\nr: [3, 7]\ndefining_set: [\"0,3\"]\n",       # list, not a mapping
+])
+def test_malformed_spec_exits_2(tmp_path, capsys, text):
+    from abcode.cli import SpecError
+    with pytest.raises(SpecError):
+        parse_spec(text)
+    assert main(["infoset", write(tmp_path, text)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_spec_roundtrip_plain():
     spec = parse_spec(SPEC_35)
     again = parse_spec(dump_spec(spec))
@@ -381,6 +396,23 @@ def test_decode_rejects_bad_word(tmp_path, capsys):
     rc, _ = run_cli(capsys, "decode", path, "--word",
                     ",".join("3" for _ in range(45)), "--errors", "2")
     assert rc == EXIT_BAD_INPUT
+
+
+@pytest.mark.parametrize("first", ["300", "-1"])
+def test_decode_word_outside_labels_exits_2(tmp_path, first):
+    path = write(tmp_path, SPEC_37)
+    word = ",".join([first] + ["0"] * 20)
+    proc = run_module("abcode", "decode", path, f"--word={word}", "--errors", "1")
+    assert proc.returncode == EXIT_BAD_INPUT
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_decode_labels_past_255(tmp_path, capsys):
+    path = write(tmp_path, "q: 257\nr: [2]\ndefining_set:\n  orbits: [0]\n")
+    rc, out = run_cli(capsys, "decode", path, "--word", "256,1", "--errors", "1")
+    assert rc == EXIT_OK
+    assert "decoded: 256,1\n" in out
 
 
 # ---------- search ----------

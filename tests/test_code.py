@@ -661,6 +661,15 @@ def test_encode_rejects_bad_input():
         encode(code, cs, {info_pos: 2})
 
 
+def test_encode_labels_past_255():
+    # an empty defining set has no check columns to take a dtype from
+    amb = Ambient(257, (2,))
+    D = DefiningSet(amb, frozenset())
+    y = encode(AbelianCode(D), build_gamma(D), {(0,): 256, (1,): 1})
+    assert y.dtype == np.uint16
+    assert y.tolist() == [256, 1]
+
+
 def test_standard_form_requires_verified_positions():
     code = AbelianCode(HAMMING)
     bad = CheckSet(code.ambient, (0,), frozenset({(0,), (1,), (3,)}))

@@ -140,6 +140,47 @@ def test_mul_matches_naive_polynomials(p, s, M):
         assert ctx.digits(ctx.mul(a, b)) == want
 
 
+def test_mul_in_a_61_bit_prime_field():
+    p = 2**61 - 1
+    ctx = build_context(p, 1, 1)
+    assert ctx.generator_rep == (37,)
+    rng = random.Random(61)
+    for _ in range(50):
+        a, b = rng.randrange(p), rng.randrange(p)
+        assert ctx.mul((a,), (b,)) == ((a * b) % p,)
+    # past int64 range the linear maps keep Python integers
+    assert ctx.powers((a,), 5).tolist() == [[pow(a, i, p)] for i in range(5)]
+
+
+LINEAR_CONTEXTS = [(2, 1, 4), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 1), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("p,s,M", LINEAR_CONTEXTS)
+def test_mul_matrix_rows_are_products_with_powers_of_x(p, s, M):
+    ctx = build_context(p, s, M)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = ctx.decode(rng.randrange(ctx.order))
+        m = ctx.mul_matrix(a)
+        assert m.shape == (ctx.deg, ctx.deg)
+        for i in range(ctx.deg):
+            assert m[i].tolist() == ctx.digits(ctx.mul(a, ctx.decode(p**i)))
+
+
+@pytest.mark.parametrize("p,s,M", LINEAR_CONTEXTS)
+def test_powers_match_running_product(p, s, M):
+    ctx = build_context(p, s, M)
+    rng = random.Random(6)
+    for a in [ctx.zero, ctx.one, ctx.generator_rep] + \
+            [ctx.decode(rng.randrange(ctx.order)) for _ in range(5)]:
+        for n in (1, 2, 3, 7, 8, 9):
+            want, acc = [], ctx.one
+            for _ in range(n):
+                want.append(ctx.digits(acc))
+                acc = ctx.mul(acc, a)
+            assert ctx.powers(a, n).tolist() == want
+
+
 @pytest.mark.parametrize("p,s,M", [(2, 1, 4), (3, 1, 2), (2, 2, 3)])
 def test_field_laws(p, s, M):
     ctx = build_context(p, s, M)
@@ -211,7 +252,8 @@ def test_in_subfield_counts():
 
 
 @pytest.mark.parametrize("p,s,M,d", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 2, 2, 2),
-                                     (3, 1, 2, 2), (2, 2, 2, 1), (3, 2, 2, 1)])
+                                     (3, 1, 2, 2), (2, 2, 2, 1), (3, 2, 2, 1),
+                                     (3, 1, 4, 2), (3, 2, 2, 2)])
 def test_subfield_coords_reconstruct(p, s, M, d):
     ctx = build_context(p, s, M)
     sf = ScalarField(ctx)
@@ -256,6 +298,13 @@ def test_subfield_coords_bad_degree():
         subfield_coords(ctx, generator(ctx), 3)
     with pytest.raises(FieldError):
         ctx.subfield_generator(3)
+
+
+def test_subfield_coords_refuses_primes_past_4096():
+    # the coordinate solve row reduces over F_p, whose ScalarField is bounded
+    big = build_context(4099, 1, 2)
+    with pytest.raises(FieldError):
+        subfield_coords(big, FieldElem(big, big.one), 1)
 
 
 def test_labels_are_residues_for_prime_fields():
