@@ -16,8 +16,7 @@ from .crt import CrtMap
 from .gamma import (CheckSet, FGNode, FGTree, GammaTables, build_gamma,
                     compute_fg, compute_tables, information_set)
 from .gf import (FieldContext, FieldElem, FieldError, ScalarField,
-                 build_context, frobenius, generator, in_subfield,
-                 root_of_unity, subfield_coords)
+                 build_context, root_of_unity, subfield_coords)
 from .orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,
                     check_restriction, coset, coset_size, frobenius_order,
                     from_orbit_reps, normalize_ordering, orbits, permute,

@@ -54,6 +54,16 @@ class CodeSpec:
         return self.defining.ambient
 
 
+def _int_list(value, what: str) -> tuple:
+    """A YAML list of integers as a tuple; anything else is a SpecError."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecError(f"{what} must be a list of integers, not {value!r}")
+    try:
+        return tuple(int(x) for x in value)
+    except (TypeError, ValueError):
+        raise SpecError(f"{what} must be a list of integers, not {value!r}") from None
+
+
 def _parse_index(entry, n: int):
     if isinstance(entry, int):
         tup = (entry,)
@@ -64,7 +74,7 @@ def _parse_index(entry, n: int):
         except ValueError:
             raise SpecError(f"bad index {entry!r}")
     elif isinstance(entry, (list, tuple)):
-        tup = tuple(int(x) for x in entry)
+        tup = _int_list(entry, "index")
     else:
         raise SpecError(f"bad index {entry!r}")
     if len(tup) != n:
@@ -100,14 +110,17 @@ def parse_spec(text: str) -> CodeSpec:
         block = data["crt"]
         if not isinstance(block, dict) or "factors" not in block:
             raise SpecError("crt block needs a factors list")
-        cmap = CrtMap(block["factors"], block.get("units"))
-        if "l" in data and int(data["l"]) != cmap.length:
-            raise SpecError(f"l = {data['l']} but the factors multiply to {cmap.length}")
-        residues = ds_block.get("explicit", ds_block.get("orbits", []))
+        units = block.get("units")
+        cmap = CrtMap(_int_list(block["factors"], "crt factors"),
+                      None if units is None else _int_list(units, "crt units"))
+        if "l" in data and data["l"] != cmap.length:
+            raise SpecError(f"l = {data['l']!r} but the factors multiply to {cmap.length}")
+        residues = _int_list(ds_block.get("explicit", ds_block.get("orbits", [])),
+                             "defining_set residues")
         members = set()
         l = cmap.length
         for entry in residues:
-            t = int(entry) % l
+            t = entry % l
             if "orbits" in ds_block:
                 while t not in members:
                     members.add(t)
@@ -118,21 +131,20 @@ def parse_spec(text: str) -> CodeSpec:
         return CodeSpec(q, cmap.factors, defining, ordering, cmap,
                         tuple(sorted(members)))
 
-    try:
-        r = tuple(int(x) for x in data["r"])
-    except KeyError:
+    if "r" not in data:
         raise SpecError("missing field: r (or a crt block)")
-    except TypeError:
-        raise SpecError(f"r must be a list of integers, not {data['r']!r}")
+    r = _int_list(data["r"], "r")
     amb = Ambient(q, r)
-    if "orbits" in ds_block:
-        reps = [_parse_index(e, amb.n) for e in ds_block["orbits"]]
-        defining = from_orbit_reps(amb, reps)
-    elif "explicit" in ds_block:
-        members = {_parse_index(e, amb.n) for e in ds_block["explicit"]}
-        defining = validate_defining_set(amb, members)
-    else:
+    kind = next((k for k in ("orbits", "explicit") if k in ds_block), None)
+    if kind is None:
         defining = DefiningSet(amb, frozenset())
+    else:
+        entries = ds_block[kind]
+        if not isinstance(entries, list):
+            raise SpecError(f"defining_set {kind} must be a list, not {entries!r}")
+        indices = [_parse_index(e, amb.n) for e in entries]
+        defining = (from_orbit_reps(amb, indices) if kind == "orbits"
+                    else validate_defining_set(amb, set(indices)))
     if ordering is not None:
         normalize_ordering(amb.n, ordering)
     return CodeSpec(q, r, defining, ordering)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 import sympy
 
-from .gamma import CheckSet, compute_tables
+from .gamma import CheckSet
 from .gf import (FieldElem, FieldError, MatrixGF, ScalarField, _unpack_rows,
                  build_context, root_of_unity, subfield_coords)
 from .orbit import Ambient, DefiningSet, frobenius_order, restricted_reps
@@ -50,7 +50,6 @@ class AbelianCode:
         self.ctx = build_context(p, s, frobenius_order(amb))
         self.scalars = ScalarField(self.ctx)
         self.reps = restricted_reps(defining)
-        self.tables = compute_tables(self.reps)
         self._tensor = None
         self._parity = None
         self._generator = None
@@ -117,7 +116,9 @@ def check_tensor(code: AbelianCode, basis_shift: int = 0) -> CheckTensor:
     ctx = code.ctx
     amb = code.ambient
     reps = code.reps.reps
-    sizes = tuple(code.tables.gamma(rep) for rep in reps)
+    m = code.reps.m_table  # q-orbit size = product of m over the prefixes
+    sizes = tuple(math.prod(m[t[:i]] for i in range(1, len(t) + 1))
+                  for t in code.reps.processed())
     offsets = tuple(itertools.accumulate((0,) + sizes[:-1]))
     mat = np.zeros((sum(sizes), amb.length), dtype=code.scalars.dtype)
     powers = _beta_powers(code)

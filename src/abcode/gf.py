@@ -5,9 +5,10 @@ polynomial of degree s*M.  The base field of the codes is F_q with q = p^s,
 and M is chosen by the caller so that every root of unity it needs lives in
 F_{q^M}.
 
-Representation: an element is its coefficient vector, low degree first.  For
-p = 2 the vector is packed into a Python int (bit i = coefficient of x^i),
-otherwise it is a tuple of digits mod p.  Every deterministic choice made
+Representation: an element is the tuple of its deg coefficients mod p, low
+degree first, for every p.  A product convolves two digit rows and maps
+the result through the digit rows of x^0, ..., x^(2 deg - 2) modulo the
+modulus, tabulated once per context.  Every deterministic choice made
 here (modulus, generator, subfield bases) follows one rule: candidates are
 ordered by the integer encoding sum(c_i * p^i) and the smallest valid one
 wins.  Two contexts built from the same (p, s, M) are therefore identical.
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import sympy
+from numpy.lib.stride_tricks import sliding_window_view
 
 MAX_FIELD_BITS = 64
 
@@ -165,19 +167,13 @@ class FieldContext:
         self.order = p**deg
         self.N = self.order - 1  # multiplicative group order
 
-        mod_list = _lowest_irreducible(p, deg)
-        self.modulus = tuple(mod_list)
-        if p == 2:
-            self._mod_int = sum(c << i for i, c in enumerate(mod_list))
-            self.zero = 0
-            self.one = 1
-        else:
-            self.zero = (0,) * deg
-            self.one = (1,) + (0,) * (deg - 1)
+        self.modulus = tuple(_lowest_irreducible(p, deg))
+        self.zero = (0,) * deg
+        self.one = (1,) + (0,) * (deg - 1)
 
-        # matrix products mod p stay exact in int64 while deg * (p-1)^2 fits
-        self._digit_dtype = np.int64 if deg * (p - 1) ** 2 < 1 << 63 else object
-        self._n_factors = tuple(sorted(sympy.factorint(self.N))) if self.N > 1 else ()
+        # products of digit rows stay exact in int64 while (2 deg - 1) (p-1)^2 fits
+        self._digit_dtype = np.int64 if (2 * deg - 1) * (p - 1) ** 2 < 1 << 63 else object
+        self._xpow = self._x_powers()
         self.generator_rep = self._find_generator()
         self._solvers = {}
         self._eta = None
@@ -186,13 +182,9 @@ class FieldContext:
 
     def encode(self, rep) -> int:
         """Integer encoding sum(c_i * p^i); the canonical element order."""
-        if self.p == 2:
-            return rep
         return sum(c * self.p**i for i, c in enumerate(rep))
 
     def decode(self, enc: int):
-        if self.p == 2:
-            return enc
         digits = []
         for _ in range(self.deg):
             digits.append(enc % self.p)
@@ -201,41 +193,24 @@ class FieldContext:
 
     def digits(self, rep) -> list:
         """Coefficient list, low degree first, length deg."""
-        if self.p == 2:
-            return [(rep >> i) & 1 for i in range(self.deg)]
         return list(rep)
 
     # -- arithmetic on raw representations --
 
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
         return tuple((x + y) % self.p for x, y in zip(a, b))
 
     def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def neg(self, a):
-        if self.p == 2:
-            return a
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a, b):
-        if self.p == 2:
-            acc = 0
-            top = 1 << self.deg
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= self._mod_int
-            return acc
-        t = _poly_mod(_poly_mul(a, b, self.p), self.modulus, self.p)
-        return tuple(t) + (0,) * (self.deg - len(t))
+        """Convolve the digit rows, then map x^k to its reduced digit row."""
+        dtype = self._digit_dtype
+        t = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) % self.p
+        return tuple((t @ self._xpow % self.p).tolist())
 
     def pow(self, a, e: int):
         if e < 0:
@@ -254,27 +229,13 @@ class FieldContext:
             raise FieldError("division by zero")
         return self.pow(a, self.N - 1) if self.N > 1 else a
 
-    def frob(self, a):
-        """The base-field Frobenius a -> a^q."""
-        return self.pow(a, self.q)
-
-    def multiplicative_order(self, a) -> int:
-        if a == self.zero:
-            raise FieldError("zero has no multiplicative order")
-        order = self.N
-        if order == 0:
-            return 1
-        for f in self._n_factors:
-            while order % f == 0 and self.pow(a, order // f) == self.one:
-                order //= f
-        return order
-
     def _find_generator(self):
         if self.N == 1:
             return self.one
+        factors = sorted(sympy.factorint(self.N))
         for enc in range(2, self.order):
             rep = self.decode(enc)
-            if all(self.pow(rep, self.N // f) != self.one for f in self._n_factors):
+            if all(self.pow(rep, self.N // f) != self.one for f in factors):
                 return rep
         raise FieldError("no generator found (unreachable)")
 
@@ -321,19 +282,27 @@ class FieldContext:
 
     # -- F_p-linear maps on digit rows --
 
-    def mul_matrix(self, a):
-        """The deg x deg matrix of y -> a*y on digit rows: row i is digits(a * x^i).
+    def _x_powers(self):
+        """(2 deg - 1, deg) digit rows of x^0, ..., x^(2 deg - 2) mod the modulus.
 
         Each row is the one above multiplied by x: shift up one degree, then
         replace x^deg by minus the low coefficients of the modulus.
         """
         low = np.array(self.modulus[:-1], dtype=self._digit_dtype)
-        m = np.zeros((self.deg, self.deg), dtype=self._digit_dtype)
-        m[0] = self.digits(a)
-        for i in range(1, self.deg):
-            m[i, 1:] = m[i - 1, :-1]
-            m[i] = (m[i] - m[i - 1, -1] * low) % self.p
-        return m
+        xp = np.zeros((2 * self.deg - 1, self.deg), dtype=self._digit_dtype)
+        xp[0, 0] = 1
+        for i in range(1, len(xp)):
+            xp[i, 1:] = xp[i - 1, :-1]
+            xp[i] = (xp[i] - xp[i - 1, -1] * low) % self.p
+        return xp
+
+    def mul_matrix(self, a):
+        """The deg x deg matrix of y -> a*y on digit rows: row i is digits(a * x^i).
+
+        a * x^i = sum_j a_j x^(i+j), so row i is a times x-power rows i..i+deg-1.
+        """
+        windows = sliding_window_view(self._xpow, self.deg, axis=0)
+        return windows @ np.array(a, dtype=self._digit_dtype) % self.p
 
     def powers(self, a, n: int):
         """(n, deg) digit rows of a^0, ..., a^(n-1), by doubling.
@@ -395,13 +364,7 @@ class FieldElem:
 
     @property
     def coeffs(self):
-        return tuple(self.ctx.digits(self.rep))
-
-    def is_zero(self) -> bool:
-        return self.rep == self.ctx.zero
-
-    def multiplicative_order(self) -> int:
-        return self.ctx.multiplicative_order(self.rep)
+        return self.rep
 
     def __repr__(self):
         return f"FieldElem{self.coeffs}"
@@ -413,10 +376,6 @@ def build_context(p: int, s: int, M: int) -> FieldContext:
     return FieldContext(p, s, M)
 
 
-def generator(ctx: FieldContext) -> FieldElem:
-    return FieldElem(ctx, ctx.generator_rep)
-
-
 def root_of_unity(ctx: FieldContext, r: int) -> FieldElem:
     """The canonical element of multiplicative order exactly r."""
     if r < 1:
@@ -426,17 +385,6 @@ def root_of_unity(ctx: FieldContext, r: int) -> FieldElem:
     if ctx.N % r != 0:
         raise FieldError(f"no element of order {r}: {r} does not divide {ctx.N}")
     return FieldElem(ctx, ctx.pow(ctx.generator_rep, ctx.N // r))
-
-
-def frobenius(ctx: FieldContext, a: FieldElem) -> FieldElem:
-    return FieldElem(ctx, ctx.frob(a.rep))
-
-
-def in_subfield(ctx: FieldContext, a: FieldElem, d: int) -> bool:
-    """True when a lies in F_{q^d} (fixed by the d-th power of Frobenius)."""
-    if ctx.M % d != 0:
-        return False
-    return ctx.pow(a.rep, ctx.q**d) == a.rep
 
 
 def subfield_coords(ctx: FieldContext, a, d: int):
@@ -454,7 +402,7 @@ def subfield_coords(ctx: FieldContext, a, d: int):
         raise FieldError(f"d = {d} does not divide M = {ctx.M}")
     extract, consistency = ctx._solver(d)
     single = isinstance(a, FieldElem)
-    rows = np.asarray([ctx.digits(a.rep)] if single else a, dtype=np.int64)
+    rows = np.asarray([a.rep] if single else a, dtype=np.int64)
     if consistency.size and np.any((rows @ consistency.T) % ctx.p):
         raise FieldError(f"element is not in F_{{q^{d}}}")
     coords = (rows @ extract.T) % ctx.p
@@ -467,15 +415,15 @@ class ScalarField:
     """The base field F_q of a context, acting on integer labels 0..q-1.
 
     Labels follow the same encoding as subfield_coords.  Addition is
-    digitwise mod p; products go through the ambient context (cached in
-    numpy tables for vectorized matrix work).
+    digitwise mod p; products go through the ambient context's powers of
+    eta.  Both are tabulated once per field for s > 1.
 
     add, neg, sub and mul also take label arrays: when a is a numpy array
     (b an array broadcastable with it, or one label) they return an array of
     a's dtype.  submul and dot are the fused forms the matrix kernels need.
-    For s = 1 the array forms are integer arithmetic mod p, otherwise lookups
-    in the tables.  Elementwise they run in int32, which holds p^2 because
-    q <= 4096; dot sums in int64.
+    For s = 1 every form is integer arithmetic mod p, otherwise a lookup in
+    the tables.  Elementwise the s = 1 arrays run in int32, which holds p^2
+    because q <= 4096; dot sums in int64.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -488,72 +436,43 @@ class ScalarField:
         self.dtype = np.uint8 if self.q <= 256 else np.uint16
         self._tables = None
 
-    # label <-> element of the context
+    # labels as elements of the context
+
+    def _digits(self, labels):
+        """Base-p digits of a label or label array on a new last axis, low first."""
+        return np.asarray(labels)[..., None] // self.p ** np.arange(self.s) % self.p
 
     def element(self, label: int) -> FieldElem:
-        p, acc = self.p, self.ctx.zero
-        eta = self.ctx.eta()
-        epow = self.ctx.one
-        for _ in range(self.s):
-            digit = label % p
-            label //= p
-            if digit:
-                term = epow
-                for _ in range(digit - 1):
-                    term = self.ctx.add(term, epow)
-                acc = self.ctx.add(acc, term)
-            epow = self.ctx.mul(epow, eta)
-        return FieldElem(self.ctx, acc)
-
-    def label_of(self, elem: FieldElem) -> int:
-        (label,) = subfield_coords(self.ctx, elem, 1)
-        return label
+        """The element sum(c_j * eta^j) for the label sum(c_j * p^j)."""
+        ctx = self.ctx
+        row = self._digits(label) @ ctx.powers(ctx.eta(), self.s) % self.p
+        return FieldElem(ctx, tuple(row.tolist()))
 
     # ops on labels and label arrays
 
     def add(self, a, b):
+        if self.s > 1:
+            return self._lookup(self.tables()[0][a, b], a)
         if isinstance(a, np.ndarray):
-            if self.s == 1:
-                return self._mod_p(np.add(a, b, dtype=np.int32), a.dtype)
-            return self.tables()[0][a, b].astype(a.dtype, copy=False)
-        if self.s == 1:
-            return (a + b) % self.p
-        p, out, w = self.p, 0, 1
-        for _ in range(self.s):
-            out += ((a % p + b % p) % p) * w
-            a //= p
-            b //= p
-            w *= p
-        return out
+            return self._mod_p(np.add(a, b, dtype=np.int32), a.dtype)
+        return (a + b) % self.p
 
     def neg(self, a):
+        if self.s > 1:
+            return self._lookup(self.tables()[2][a], a)
         if isinstance(a, np.ndarray):
-            if self.s == 1:
-                return self._mod_p(np.subtract(self.p, a, dtype=np.int32), a.dtype)
-            return self.tables()[2][a].astype(a.dtype, copy=False)
-        if self.s == 1:
-            return (-a) % self.p
-        p, out, w = self.p, 0, 1
-        for _ in range(self.s):
-            out += ((-(a % p)) % p) * w
-            a //= p
-            w *= p
-        return out
+            return self._mod_p(np.subtract(self.p, a, dtype=np.int32), a.dtype)
+        return (-a) % self.p
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
+        if self.s > 1:
+            return self._lookup(self.tables()[1][a, b], a)
         if isinstance(a, np.ndarray):
-            if self.s == 1:
-                return self._mod_p(np.multiply(a, b, dtype=np.int32), a.dtype)
-            return self.tables()[1][a, b].astype(a.dtype, copy=False)
-        if self.s == 1:
-            return (a * b) % self.p
-        if a == 0 or b == 0:
-            return 0
-        _, _, _, log, exp = self.tables()
-        return int(exp[(log[a] + log[b]) % (self.q - 1)])
+            return self._mod_p(np.multiply(a, b, dtype=np.int32), a.dtype)
+        return (a * b) % self.p
 
     def submul(self, a, c, b):
         """a - c * b for label arrays (broadcast), in a's dtype.
@@ -592,23 +511,31 @@ class ScalarField:
         t %= self.p
         return t.astype(dtype)
 
+    @staticmethod
+    def _lookup(t, a):
+        """A table lookup in the form of a: an array of a's dtype, or an int."""
+        return t.astype(a.dtype, copy=False) if isinstance(a, np.ndarray) else int(t)
+
     def tables(self):
-        """(add_table, mul_table, neg_table, log, exp) as numpy label arrays."""
+        """(add_table, mul_table, neg_table, log, exp) as numpy label arrays.
+
+        Labels add digit by digit, so the add table is built one q x q pass
+        per base-p digit; products of nonzero labels add their logs.
+        """
         if self._tables is None:
-            q, dtype = self.q, self.dtype
+            q, p, dtype = self.q, self.p, self.dtype
             exp = subfield_coords(self.ctx, self.ctx.powers(self.ctx.eta(), q - 1), 1)
             exp = exp[:, 0].astype(dtype)
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
             add_table = np.zeros((q, q), dtype=dtype)
-            mul_table = np.zeros((q, q), dtype=dtype)
             neg_table = np.zeros(q, dtype=dtype)
-            for a in range(q):
-                neg_table[a] = self.neg(a)
-                for b in range(q):
-                    add_table[a, b] = self.add(a, b)
-                    if a and b:
-                        mul_table[a, b] = exp[(log[a] + log[b]) % (q - 1)]
+            # uint16 holds 2 (p - 1) and every label, as q <= 4096
+            for j, digit in enumerate(self._digits(np.arange(q)).T.astype(np.uint16)):
+                add_table += np.add.outer(digit, digit) % p * p**j
+                neg_table += (p - digit) % p * p**j
+            mul_table = exp[np.add.outer(log, log) % (q - 1)]
+            mul_table[0] = mul_table[:, 0] = 0
             self._tables = (add_table, mul_table, neg_table, log, exp)
         return self._tables
 

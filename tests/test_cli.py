@@ -134,6 +134,13 @@ def test_parse_spec_rejects_bad_documents():
     "q: [2]\nr: [7]\n",                                  # q not an integer
     "q: 2\nr: 7\n",                                      # r not a list
     "q: 2\nr: [3, 7]\ndefining_set: [\"0,3\"]\n",       # list, not a mapping
+    "q: 2\nl: [15]\ncrt:\n  factors: [3, 5]\n",          # l not an integer
+    "q: 2\ncrt:\n  factors: 15\n",                       # factors not a list
+    "q: 2\ncrt:\n  factors: [3, 5]\n  units: 3\n",       # units not a list
+    "q: 2\nr: [3, 7]\ndefining_set:\n  orbits: 5\n",     # orbits not a list
+    "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: 3\n",   # explicit not a list
+    "q: 2\nr: [3, 7]\ndefining_set:\n  orbits: [[0, [3]]]\n",  # nested index
+    "q: 2\ncrt:\n  factors: [3, 5]\ndefining_set:\n  explicit: [[1]]\n",  # residue
 ])
 def test_malformed_spec_exits_2(tmp_path, capsys, text):
     from abcode.cli import SpecError

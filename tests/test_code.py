@@ -22,7 +22,7 @@ from abcode.gamma import CheckSet, build_gamma
 from abcode.gf import (FieldElem, FieldError, ScalarField, build_context,
                        root_of_unity, subfield_coords)
 from abcode.orbit import (Ambient, DefiningSet, from_orbit_reps, orbits,
-                          validate_defining_set)
+                          qorbit, validate_defining_set)
 
 # sample codes reused below
 HAMMING = from_orbit_reps(Ambient(2, (7,)), [(1,)])          # [7, 4, 3]
@@ -96,7 +96,7 @@ def naive_check_tensor(code, basis_shift=0):
     mat = np.zeros((len(code.defining), amb.length), dtype=dtype)
     row = 0
     for rep in code.reps.reps:
-        d = code.tables.gamma(rep)
+        d = len(qorbit(amb, rep))
         gens = [ctx.pow(root, e) for root, e in zip(naive_roots(code), rep)]
         shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % (amb.q**d - 1))
         for j, pos in enumerate(amb.positions()):
@@ -246,7 +246,7 @@ def test_membership_agrees_with_root_evaluation(D):
         if trial % 2:
             vec[rng.randrange(code.length)] = rng.randrange(1, sf.q)
         by_parity = contains(code, vec)
-        by_roots = all(evaluate_at_root(code, vec, e).is_zero()
+        by_roots = all(evaluate_at_root(code, vec, e).rep == code.ctx.zero
                        for e in sorted(D.members))
         assert by_parity == by_roots
 
@@ -256,7 +256,7 @@ def test_single_position_flip_breaks_every_root():
     vec = np.zeros(7, dtype=np.uint8)
     vec[3] = 1
     for e in sorted(HAMMING.members):
-        assert not evaluate_at_root(code, vec, e).is_zero()
+        assert evaluate_at_root(code, vec, e).rep != code.ctx.zero
 
 
 def test_empty_defining_set_is_the_full_space():
