@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import sympy
 
 from .gamma import CheckSet
-from .gf import (FieldElem, FieldError, MatrixGF, ScalarField, _unpack_rows,
-                 build_context, root_of_unity, subfield_coords)
+from .gf import (MAX_FIELD_BITS, FieldElem, FieldError, MatrixGF, ScalarField,
+                 _unpack_rows, build_context, root_of_unity, subfield_coords)
+from .nt import factorint
 from .orbit import Ambient, DefiningSet, frobenius_order, restricted_reps
 
 _FULL_ENUM_LIMIT = 1 << 20
@@ -29,11 +29,14 @@ _GRAY_MAX_K = 28
 
 
 def _prime_power(q: int):
-    fac = sympy.factorint(q)
+    # no field past the size policy gets built, and factoring such q may not end
+    if q > 1 << MAX_FIELD_BITS:
+        raise FieldError(f"q = {q} exceeds the {MAX_FIELD_BITS}-bit size policy")
+    fac = factorint(q)
     if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
     ((p, s),) = fac.items()
-    return int(p), int(s)
+    return p, s
 
 
 # ---------- the code itself ----------

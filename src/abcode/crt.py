@@ -13,8 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from sympy.ntheory.modular import crt as _crt
-
+from .nt import crt
 from .orbit import Ambient, DefiningSet, NotOrbitClosed, validate_defining_set
 
 
@@ -63,8 +62,7 @@ class CrtMap:
                 raise ValueError(f"coordinate {x} out of range mod {r}")
         residues = [(pow(u, -1, r) * x) % r for u, x, r in
                     zip(self.units, tup, self.factors)]
-        val, _ = _crt(self.factors, residues)
-        return int(val)
+        return crt(self.factors, residues)
 
     def transport_defining_set(self, q: int, members) -> DefiningSet:
         """Image of a cyclic defining set in the product ambient.

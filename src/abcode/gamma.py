@@ -44,10 +44,6 @@ class GammaTables:
     def gamma(self, prefix) -> int:
         return math.prod(self.m[prefix[: i + 1]] for i in range(len(prefix)))
 
-    def orbit_size(self, rep_processed) -> int:
-        """gamma over the full tuple: the q-orbit size of the representative."""
-        return self.gamma(rep_processed)
-
 
 def compute_tables(reps: RestrictedReps) -> GammaTables:
     return GammaTables(reps)

@@ -25,8 +25,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .nt import factorint, isprime
 
 MAX_FIELD_BITS = 64
 
@@ -150,7 +151,7 @@ class FieldContext:
     """
 
     def __init__(self, p: int, s: int, M: int):
-        if p < 2 or not sympy.isprime(p):
+        if not isprime(p):
             raise FieldError(f"p = {p} is not prime")
         if s < 1 or M < 1:
             raise FieldError("s and M must be positive")
@@ -232,7 +233,7 @@ class FieldContext:
     def _find_generator(self):
         if self.N == 1:
             return self.one
-        factors = sorted(sympy.factorint(self.N))
+        factors = factorint(self.N)
         for enc in range(2, self.order):
             rep = self.decode(enc)
             if all(self.pow(rep, self.N // f) != self.one for f in factors):

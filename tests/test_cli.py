@@ -1,6 +1,7 @@
 """Command-line front end: parsing, subcommands, exit codes, determinism."""
 
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -458,12 +459,78 @@ def test_bad_input_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def run_module(module, *argv):
+def run_python(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, "-m", module, *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def run_module(module, *argv):
+    return run_python("-m", module, *argv)
+
+
+# the four edge inputs: one axis, an r_i = 1 axis, empty and full defining sets
+EDGE_SPECS = {
+    "n1": SPEC_HAMMING,
+    "r1": "q: 2\nr: [1, 7]\ndefining_set:\n  orbits: [\"0,1\"]\n",
+    "empty": "q: 2\nr: [3, 5]\n",
+    "full": "q: 2\nr: [3, 5]\ndefining_set:\n"
+            "  orbits: [\"0,0\", \"0,1\", \"1,0\", \"1,1\", \"1,2\"]\n",
+}
+EDGE_LENGTHS = {"n1": 7, "r1": 7, "empty": 15, "full": 15}
+EDGE_EXPECT = {   # (spec, subcommand): (exit code, a line of its output)
+    ("n1", "orbits"): (EXIT_OK, "orbits: 3"),
+    ("n1", "infoset"): (EXIT_OK, "dimension: 4"),
+    ("n1", "verify"): (EXIT_OK, "verdict: pass"),
+    ("n1", "mindist"): (EXIT_OK, "minimum distance: 3"),
+    ("n1", "pdset"): (EXIT_OK, "verdict: pass"),
+    ("n1", "decode"): (EXIT_OK, "positions changed: 1"),
+    ("n1", "search"): (EXIT_OK, "ambient q=2 r=(7,): 7 hit(s)"),
+    ("r1", "orbits"): (EXIT_OK, "orbits: 3"),
+    ("r1", "infoset"): (EXIT_OK, "dimension: 4"),
+    ("r1", "verify"): (EXIT_OK, "verdict: pass"),
+    ("r1", "mindist"): (EXIT_OK, "minimum distance: 3"),
+    ("r1", "pdset"): (EXIT_OK, "verdict: pass"),
+    ("r1", "decode"): (EXIT_OK, "positions changed: 1"),
+    ("r1", "search"): (EXIT_OK, "ambient q=2 r=(1, 7): 7 hit(s)"),
+    ("empty", "orbits"): (EXIT_OK, "orbits: 5"),
+    ("empty", "infoset"): (EXIT_OK, "dimension: 15"),
+    ("empty", "verify"): (EXIT_OK, "verdict: pass"),
+    ("empty", "mindist"): (EXIT_OK, "minimum distance: 1"),
+    ("empty", "pdset"): (EXIT_FAIL, "verdict: fail"),
+    ("empty", "decode"): (EXIT_OK, "positions changed: 0"),
+    ("empty", "search"): (EXIT_OK, "ambient q=2 r=(3, 5): 31 hit(s)"),
+    ("full", "orbits"): (EXIT_OK, "orbits: 5"),
+    ("full", "infoset"): (EXIT_OK, "dimension: 0"),
+    ("full", "verify"): (EXIT_OK, "verdict: pass"),
+    ("full", "mindist"): (EXIT_BAD_INPUT, "error: minimum distance of the zero "
+                                          "code is undefined"),
+    ("full", "pdset"): (EXIT_OK, "verdict: pass"),
+    ("full", "decode"): (EXIT_OK, "positions changed: 1"),
+    ("full", "search"): (EXIT_OK, "ambient q=2 r=(3, 5): 31 hit(s)"),
+}
+EDGE_FLAGS = {"pdset": ["--errors", "1"], "search": ["--pd-errors", "1"]}
+
+
+@pytest.mark.parametrize("name,sub", sorted(EDGE_EXPECT))
+def test_edge_inputs_through_every_subcommand(tmp_path, name, sub):
+    path = write(tmp_path, EDGE_SPECS[name])
+    flags = EDGE_FLAGS.get(sub, [])
+    if sub == "decode":   # one error at position 0
+        word = ",".join(["1"] + ["0"] * (EDGE_LENGTHS[name] - 1))
+        flags = [f"--word={word}", "--errors", "1"]
+    proc = run_module("abcode", sub, path, *flags)
+    want_code, want_line = EDGE_EXPECT[name, sub]
+    assert proc.returncode == want_code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if want_code == EXIT_BAD_INPUT:
+        assert proc.stdout == ""
+        assert proc.stderr == want_line + "\n"
+    else:
+        assert proc.stderr == ""
+        assert want_line in proc.stdout.splitlines()
 
 
 @pytest.mark.parametrize("sub", ["verify", "mindist"])
@@ -474,6 +541,35 @@ def test_field_past_64_bits_exits_2(tmp_path, sub):
     assert "64-bit" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+NO_SYMPY_RUNNER = """
+import contextlib, io, json, sys
+sys.modules["sympy"] = None   # any import of sympy now raises ImportError
+from abcode.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_runtime_runs_without_sympy(tmp_path, capsys):
+    path_37 = write(tmp_path, SPEC_37, "c37.yaml")
+    path_crt = write(tmp_path, SPEC_CRT, "crt.yaml")
+    # infoset on a crt spec needs crt, verify needs isprime and factorint
+    argvs = [["infoset", path_37], ["verify", path_37], ["infoset", path_crt]]
+    want = [list(run_cli(capsys, *argv)) for argv in argvs]
+    assert [code for code, _ in want] == [EXIT_OK] * 3
+    proc = run_python("-c", NO_SYMPY_RUNNER, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
+
+    proc = run_python("-c", "import sys, abcode.cli; print('sympy' in sys.modules)")
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_python_dash_m_matches_cli_module(tmp_path):

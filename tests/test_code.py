@@ -11,6 +11,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import abcode.code
 from abcode.code import (AbelianCode, MatrixGF, check_tensor, contains,
@@ -21,8 +23,9 @@ from abcode.code import (AbelianCode, MatrixGF, check_tensor, contains,
 from abcode.gamma import CheckSet, build_gamma
 from abcode.gf import (FieldElem, FieldError, ScalarField, build_context,
                        root_of_unity, subfield_coords)
-from abcode.orbit import (Ambient, DefiningSet, from_orbit_reps, orbits,
-                          qorbit, validate_defining_set)
+from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
+                          from_orbit_reps, orbits, qorbit,
+                          validate_defining_set)
 
 # sample codes reused below
 HAMMING = from_orbit_reps(Ambient(2, (7,)), [(1,)])          # [7, 4, 3]
@@ -337,6 +340,15 @@ def test_field_past_64_bits_is_refused():
         AbelianCode(from_orbit_reps(Ambient(2, (67,)), [(1,)]))
 
 
+def test_q_past_64_bits_is_refused_before_factoring(monkeypatch):
+    def no_factoring(n):
+        raise AssertionError(f"factored {n}")
+    monkeypatch.setattr(abcode.code, "factorint", no_factoring)
+    q = (2**61 - 1) * (2**89 - 1)   # Pollard-Brent would need ~2^30 steps
+    with pytest.raises(FieldError, match="64-bit"):
+        AbelianCode(DefiningSet(Ambient(q, (2,)), frozenset()))
+
+
 # ---------- verification ----------
 
 
@@ -383,6 +395,34 @@ def test_verify_empty_set():
     code = AbelianCode(DefiningSet(amb, frozenset()))
     cs = build_gamma(code.defining)
     assert verify_check_positions(code, cs)
+
+
+def _small_ambients(q, max_len=60):
+    """Every ambient over F_q with n <= 2, l <= max_len and F_{q^M} in 64 bits."""
+    shapes = [(a,) for a in range(1, max_len + 1)]
+    shapes += [(a, b) for a in range(1, max_len + 1)
+               for b in range(1, max_len // a + 1)]
+    ambients = [Ambient(q, r) for r in shapes
+                if all(math.gcd(ri, q) == 1 for ri in r)]
+    return [amb for amb in ambients if q ** frobenius_order(amb) <= 1 << 64]
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_gamma_verifies_over_fields_the_suite_never_builds(q, data):
+    """The acceptance suite draws q from {2, 3, 4}; these are the others."""
+    amb = data.draw(st.sampled_from(_small_ambients(q)))
+    orbs = orbits(amb)
+    picked = data.draw(st.lists(st.booleans(), min_size=len(orbs),
+                                max_size=len(orbs)))
+    D = DefiningSet(amb, frozenset(
+        t for orb, keep in zip(orbs, picked) if keep for t in orb))
+    cs = build_gamma(D)
+    assert len(cs) == len(D)
+    assert verify_check_positions(AbelianCode(D), cs)
+    for seed in data.draw(st.lists(st.integers(0, 2**32), min_size=2, max_size=2)):
+        assert build_gamma(D, rng=random.Random(seed)).positions == cs.positions
 
 
 # ---------- minimum distance ----------

@@ -77,8 +77,8 @@ def test_tables_on_37():
     assert tables.m[(0, 3)] == 3
     assert tables.m[(1, 1)] == 3
     assert tables.m[(1, 3)] == 3
-    assert tables.orbit_size((0, 3)) == 3
-    assert tables.orbit_size((1, 1)) == 6
+    assert tables.gamma((0, 3)) == 3
+    assert tables.gamma((1, 1)) == 6
     tree = compute_fg(reps, tables)
     assert tree.root.f == (6, 3)
     assert tree.root.children == (2, 3)
@@ -267,4 +267,4 @@ def test_gamma_tables_match_orbit_sizes():
         reps = restricted_reps(D)
         tables = GammaTables(reps)
         for orig, proc in zip(reps.reps, reps.processed()):
-            assert tables.orbit_size(proc) == len(qorbit(amb, orig))
+            assert tables.gamma(proc) == len(qorbit(amb, orig))
