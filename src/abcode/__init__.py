@@ -13,15 +13,13 @@ from .code import (AbelianCode, CheckTensor, DistanceResult, MatrixGF,
                    find_low_weight_codeword, generator_matrix, min_distance,
                    parity_matrix, standard_form_parity, verify_check_positions)
 from .crt import CrtMap
-from .gamma import (CheckSet, FGNode, FGTree, GammaTables, build_gamma,
-                    compute_fg, compute_tables, information_set)
+from .gamma import CheckSet, FGNode, FGTree, build_gamma, compute_fg
 from .gf import (FieldContext, FieldElem, FieldError, ScalarField,
                  build_context, root_of_unity, subfield_coords)
 from .orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,
-                    check_restriction, coset, coset_size, frobenius_order,
+                    check_restriction, coset, frobenius_order,
                     from_orbit_reps, normalize_ordering, orbits, permute,
-                    project, qorbit, restricted_reps, unpermute,
-                    validate_defining_set)
+                    qorbit, restricted_reps, unpermute, validate_defining_set)
 from .permdec import (PDResult, PDSet, SearchConstraints, SearchHit,
                       design_report, design_search, enumerate_lambda,
                       is_pd_set, lemma13_check, lemma15_check,

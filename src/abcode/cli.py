@@ -20,7 +20,7 @@ import yaml
 from .code import (AbelianCode, generator_matrix, min_distance, parity_matrix,
                    standard_form_parity, verify_check_positions)
 from .crt import CrtMap
-from .gamma import CheckSet, build_gamma, compute_fg, compute_tables
+from .gamma import CheckSet, build_gamma
 from .orbit import (Ambient, DefiningSet, from_orbit_reps, normalize_ordering,
                     orbits, restricted_reps, validate_defining_set)
 from .permdec import (PDSet, SearchConstraints, design_report, design_search,
@@ -231,6 +231,11 @@ def _tree_tables(cs: CheckSet):
     return f_table, g_table
 
 
+def _row(head: str, text: str) -> str:
+    """head and text joined by a space; no trailing space when text is empty."""
+    return f"{head} {text}" if text else head
+
+
 def _label(name: str, path) -> str:
     return name if not path else f"{name}[{','.join(str(u) for u in path)}]"
 
@@ -249,19 +254,20 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
     lines = [f"ambient: q={spec.q} r={_fmt_index(spec.r)}",
              f"defining set size: {len(spec.defining)}",
              f"ordering: {','.join(str(a + 1) for a in (ordering or range(spec.ambient.n)))}",
-             "representatives: " + " ".join(_fmt_index(t) for t in cs.reps.reps)]
-    m_items = sorted(cs.tables.m.items())
+             _row("representatives:", " ".join(_fmt_index(t) for t in cs.reps.reps))]
+    m_items = sorted(cs.reps.m_table.items())
     for prefix, mv in m_items:
         lines.append(f"m[{_fmt_index(prefix)}] = {mv}")
     f_table, g_table = _tree_tables(cs)
     for path in sorted(f_table):
-        lines.append(f"{_label('f', path)} = {','.join(str(v) for v in f_table[path])}")
+        lines.append(_row(f"{_label('f', path)} =",
+                          ",".join(str(v) for v in f_table[path])))
     for path in sorted(g_table):
         lines.append(f"{_label('g', path)} = {g_table[path]}")
-    lines.append(f"check positions ({len(check)}): "
-                 + " ".join(_fmt_index(t) for t in check))
-    lines.append(f"information positions ({len(info)}): "
-                 + " ".join(_fmt_index(t) for t in info))
+    lines.append(_row(f"check positions ({len(check)}):",
+                      " ".join(_fmt_index(t) for t in check)))
+    lines.append(_row(f"information positions ({len(info)}):",
+                      " ".join(_fmt_index(t) for t in info)))
     lines.append(f"dimension: {k}")
     doc = {"q": spec.q, "r": list(spec.r),
            "ordering": [a + 1 for a in (ordering or range(spec.ambient.n))],
@@ -276,10 +282,10 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
     if spec.crt_map is not None:
         pull_check = spec.crt_map.pullback_positions(cs.positions)
         pull_info = sorted(set(range(spec.crt_map.length)) - set(pull_check))
-        lines.append("cyclic check positions: "
-                     + " ".join(str(t) for t in pull_check))
-        lines.append("cyclic information positions: "
-                     + " ".join(str(t) for t in pull_info))
+        lines.append(_row("cyclic check positions:",
+                          " ".join(str(t) for t in pull_check)))
+        lines.append(_row("cyclic information positions:",
+                          " ".join(str(t) for t in pull_info)))
         doc["cyclic_check_positions"] = pull_check
         doc["cyclic_information_positions"] = pull_info
     _emit(args, lines, doc)

@@ -119,9 +119,7 @@ def check_tensor(code: AbelianCode, basis_shift: int = 0) -> CheckTensor:
     ctx = code.ctx
     amb = code.ambient
     reps = code.reps.reps
-    m = code.reps.m_table  # q-orbit size = product of m over the prefixes
-    sizes = tuple(math.prod(m[t[:i]] for i in range(1, len(t) + 1))
-                  for t in code.reps.processed())
+    sizes = tuple(code.reps.gamma(t) for t in code.reps.processed())
     offsets = tuple(itertools.accumulate((0,) + sizes[:-1]))
     mat = np.zeros((sum(sizes), amb.length), dtype=code.scalars.dtype)
     powers = _beta_powers(code)

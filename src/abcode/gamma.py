@@ -1,52 +1,24 @@
 """Check-position sets for abelian codes, computed from the defining set.
 
-Given restricted representatives of an orbit-closed defining set, the
-construction walks coordinates from the last to the first.  At each stage
-it sorts the surviving branch weights into a strictly decreasing threshold
-sequence f[...]; each choice of threshold index narrows the admissible
-range of one position coordinate, and the first coordinate finally gets a
-prefix 0..g-1.  The union of the resulting boxes is the check-position set
-Gamma; its complement is an information set, and |Gamma| always equals the
-size of the defining set.
+Given restricted representatives of an orbit-closed defining set and the
+coset sizes m recorded while they were chosen, the construction walks
+coordinates from the last to the first.  At each stage it sorts the
+surviving branch weights into a strictly decreasing threshold sequence
+f[...]; each choice of threshold index narrows the admissible range of
+one position coordinate, and the first coordinate finally gets a prefix
+0..g-1.  The union of the resulting boxes is the check-position set
+Gamma; its complement is an information set, and |Gamma| always equals
+the size of the defining set.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .orbit import (Ambient, DefiningSet, RestrictedReps, coset_size,
-                    normalize_ordering, restricted_reps, unpermute)
-
-
-class GammaTables:
-    """Coset sizes m(prefix) and orbit parameters gamma(prefix).
-
-    Prefixes are in processed (computation-order) layout.  gamma of a
-    length-t prefix is the product of m over its subprefixes, equal to the
-    size of the joint q-orbit of the prefix in the truncated ambient.
-    """
-
-    def __init__(self, reps: RestrictedReps):
-        self.reps = reps
-        moduli = reps.processed_moduli()
-        q = reps.ambient.q
-        self.m = {}
-        for t in reps.processed():
-            for i in range(1, len(t) + 1):
-                prefix = t[:i]
-                if prefix not in self.m:
-                    g = self.gamma(prefix[:-1])
-                    self.m[prefix] = coset_size(prefix[-1], moduli[i - 1], q, g)
-
-    def gamma(self, prefix) -> int:
-        return math.prod(self.m[prefix[: i + 1]] for i in range(len(prefix)))
-
-
-def compute_tables(reps: RestrictedReps) -> GammaTables:
-    return GammaTables(reps)
+from .orbit import (Ambient, DefiningSet, RestrictedReps, normalize_ordering,
+                    restricted_reps, unpermute)
 
 
 @dataclass
@@ -119,19 +91,17 @@ def _build_tree(prefixes_by_len, m, n) -> Optional[FGNode]:
     return make_node(n, base)
 
 
-def compute_fg(reps: RestrictedReps, tables: Optional[GammaTables] = None) -> FGTree:
+def compute_fg(reps: RestrictedReps) -> FGTree:
     """The f sequences and g counts for a representative list."""
-    if tables is None:
-        tables = compute_tables(reps)
     n = reps.ambient.n
     processed = reps.processed()
     if n == 1:
-        total = sum(tables.m[t] for t in sorted(set(processed)))
+        total = sum(reps.m_table[t] for t in set(processed))
         return FGTree(1, None, total)
     prefixes_by_len = {
         i: sorted({t[:i] for t in processed}) for i in range(1, n + 1)
     }
-    root = _build_tree(prefixes_by_len, tables.m, n)
+    root = _build_tree(prefixes_by_len, reps.m_table, n)
     return FGTree(n, root, 0)
 
 
@@ -143,7 +113,6 @@ class CheckSet:
     ordering: tuple
     positions: frozenset
     reps: Optional[RestrictedReps] = field(default=None, compare=False, repr=False)
-    tables: Optional[GammaTables] = field(default=None, compare=False, repr=False)
     tree: Optional[FGTree] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
@@ -177,8 +146,7 @@ def build_gamma(D: DefiningSet, ordering=None, rng=None) -> CheckSet:
     n = amb.n
     ordering = normalize_ordering(n, ordering)
     reps = restricted_reps(D, ordering, rng=rng)
-    tables = compute_tables(reps)
-    tree = compute_fg(reps, tables)
+    tree = compute_fg(reps)
     positions = set()
     if n == 1:
         positions = {(i,) for i in range(tree.total)}
@@ -187,14 +155,9 @@ def build_gamma(D: DefiningSet, ordering=None, rng=None) -> CheckSet:
             for tail in itertools.product(*ranges):
                 for i1 in range(g):
                     positions.add(unpermute((i1,) + tail, ordering))
-    cs = CheckSet(amb, ordering, frozenset(positions), reps, tables, tree)
+    cs = CheckSet(amb, ordering, frozenset(positions), reps, tree)
     if len(cs.positions) != len(D):
         raise AssertionError(
             f"check-position count {len(cs.positions)} != defining set size {len(D)}"
         )
     return cs
-
-
-def information_set(cs: CheckSet) -> frozenset:
-    """The complement of the check positions."""
-    return cs.complement()

@@ -234,7 +234,9 @@ class FieldContext:
         if self.N == 1:
             return self.one
         factors = factorint(self.N)
-        for enc in range(2, self.order):
+        # encodings below p are the constants of F_p, whose orders divide
+        # p - 1, so none of them generates F_{p^deg}^* when deg > 1
+        for enc in range(2 if self.deg == 1 else self.p, self.order):
             rep = self.decode(enc)
             if all(self.pow(rep, self.N // f) != self.one for f in factors):
                 return rep

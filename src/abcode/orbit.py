@@ -4,7 +4,10 @@ Index tuples live in Z_{r_1} x ... x Z_{r_n} with standard residues
 0..r_i - 1.  A defining set must be closed under the componentwise
 multiplication-by-q map; restricted representatives pick one element per
 q-orbit, level by level, so that the parameter tables built on them are
-well defined.
+well defined.  The selection records m(prefix), the size of the coset the
+last entry was picked from, for every prefix of every representative;
+gamma(prefix), the product of m over the subprefixes, is the size of the
+prefix's joint q-orbit in the truncated ambient.
 """
 
 from __future__ import annotations
@@ -95,17 +98,13 @@ def coset(a: int, r: int, q: int, power: int = 1) -> tuple:
     return tuple(sorted(out))
 
 
-def coset_size(a: int, r: int, q: int, power: int = 1) -> int:
-    return len(coset(a, r, q, power))
-
-
 def frobenius_order(amb: Ambient) -> int:
     """Multiplicative order of q modulo lcm(r_1, ..., r_n).
 
     This is the number of distinct position maps j -> q^f * j, and the
     smallest M with every r_i dividing q^M - 1.
     """
-    return coset_size(1, math.lcm(*amb.r), amb.q)
+    return len(coset(1, math.lcm(*amb.r), amb.q))
 
 
 def qorbit(amb: Ambient, a) -> tuple:
@@ -119,16 +118,21 @@ def qorbit(amb: Ambient, a) -> tuple:
     return tuple(sorted(out))
 
 
-def orbits(amb: Ambient):
-    """All q-orbits of the ambient, sorted by their smallest element."""
+def _partition(amb: Ambient, elements):
+    """The q-orbits met by a sorted walk over elements, in order of first meeting."""
     seen = set()
     out = []
-    for t in amb.positions():
+    for t in elements:
         if t not in seen:
             orb = qorbit(amb, t)
             seen.update(orb)
             out.append(orb)
     return out
+
+
+def orbits(amb: Ambient):
+    """All q-orbits of the ambient, sorted by their smallest element."""
+    return _partition(amb, amb.positions())
 
 
 @dataclass(frozen=True)
@@ -146,14 +150,7 @@ class DefiningSet:
 
     def orbit_reps(self):
         """Smallest element of each q-orbit contained in the set."""
-        seen = set()
-        reps = []
-        for t in self.sorted_members():
-            if t not in seen:
-                orb = qorbit(self.ambient, t)
-                seen.update(orb)
-                reps.append(orb[0])
-        return reps
+        return [orb[0] for orb in _partition(self.ambient, self.sorted_members())]
 
 
 def validate_defining_set(amb: Ambient, members: Iterable) -> DefiningSet:
@@ -203,6 +200,11 @@ def unpermute(t, ordering) -> tuple:
     return tuple(out)
 
 
+def _gamma(m_table, prefix) -> int:
+    """Product of m over the nonempty subprefixes of prefix."""
+    return math.prod(m_table[prefix[:i]] for i in range(1, len(prefix) + 1))
+
+
 @dataclass(frozen=True)
 class RestrictedReps:
     """One representative per q-orbit of a defining set, chosen level by level.
@@ -210,7 +212,8 @@ class RestrictedReps:
     reps are stored in the original axis layout; processed() gives them in
     the computation order.  The selection guarantees the restriction rule:
     whenever two representatives agree on gamma at some level and their
-    entries there share a q^gamma-coset, the entries are equal.
+    entries there share a q^gamma-coset, the entries are equal.  m_table
+    maps every processed prefix of a representative to its m.
     """
 
     ambient: Ambient
@@ -220,6 +223,10 @@ class RestrictedReps:
 
     def processed(self):
         return [permute(t, self.ordering) for t in self.reps]
+
+    def gamma(self, prefix) -> int:
+        """gamma of a processed prefix: the size of its joint q-orbit."""
+        return _gamma(self.m_table, prefix)
 
     def processed_moduli(self) -> tuple:
         return permute(self.ambient.r, self.ordering)
@@ -240,28 +247,24 @@ def restricted_reps(D: DefiningSet, ordering=None, rng=None) -> RestrictedReps:
     n = amb.n
     ordering = normalize_ordering(n, ordering)
     moduli = permute(amb.r, ordering)
-    members = {permute(t, ordering) for t in D.members}
     q = amb.q
 
+    ext = {}  # member prefix -> the entries that extend it
+    for t in D.members:
+        t = permute(t, ordering)
+        for level in range(n):
+            ext.setdefault(t[:level], set()).add(t[level])
+
     m_table = {}
-
-    def gamma_of(prefix) -> int:
-        g = 1
-        for i in range(1, len(prefix) + 1):
-            g *= m_table[prefix[:i]]
-        return g
-
     prefixes = [()]
     for level in range(n):
         ri = moduli[level]
-        proj = {t[: level + 1] for t in members}
         chosen = {}  # (gamma, coset) -> representative
         new_prefixes = []
-        for e in sorted(prefixes):
-            g = gamma_of(e)
-            exts = sorted({t[level] for t in proj if t[: level] == e})
+        for e in prefixes:
+            g = _gamma(m_table, e)
             seen = set()
-            for a in exts:
+            for a in sorted(ext.get(e, ())):
                 if a in seen:
                     continue
                 cs = coset(a, ri, q, g)
@@ -279,27 +282,16 @@ def restricted_reps(D: DefiningSet, ordering=None, rng=None) -> RestrictedReps:
     return RestrictedReps(amb, ordering, reps, m_table)
 
 
-def project(items, i: int):
-    """Set of length-i prefixes of an iterable of tuples."""
-    if isinstance(items, DefiningSet):
-        items = items.members
-    elif isinstance(items, RestrictedReps):
-        items = items.processed()
-    return {t[:i] for t in items}
-
-
 def check_restriction(reps: RestrictedReps) -> bool:
     """Directly verify the restriction rule on a representative list."""
     processed = reps.processed()
     moduli = reps.processed_moduli()
     q = reps.ambient.q
-    m = reps.m_table
     for e in processed:
         for ep in processed:
             for t in range(1, len(moduli) + 1):
-                g1 = math.prod(m[e[:i]] for i in range(1, t))
-                g2 = math.prod(m[ep[:i]] for i in range(1, t))
-                if g1 != g2:
+                g1 = reps.gamma(e[:t - 1])
+                if g1 != reps.gamma(ep[:t - 1]):
                     continue
                 ct = coset(e[t - 1], moduli[t - 1], q, g1)
                 if ep[t - 1] in ct and e[t - 1] != ep[t - 1]:

@@ -21,9 +21,9 @@ from abcode.code import (AbelianCode, dimension, find_low_weight_codeword,
                          generator_matrix, min_distance, standard_form_parity,
                          verify_check_positions)
 from abcode.crt import CrtMap
-from abcode.gamma import CheckSet, build_gamma, compute_fg, compute_tables
+from abcode.gamma import CheckSet, build_gamma, compute_fg
 from abcode.orbit import (Ambient, DefiningSet, RestrictedReps,
-                          check_restriction, from_orbit_reps, orbits,
+                          check_restriction, coset, from_orbit_reps, orbits,
                           restricted_reps, validate_defining_set)
 from abcode.permdec import (PDSet, SearchConstraints, design_search,
                             enumerate_lambda, is_pd_set, lemma13_check,
@@ -211,12 +211,11 @@ def test_criterion_01_two_axis_check_set_and_tables():
     amb = Ambient(2, (3, 7))
     D = from_orbit_reps(amb, ((0, 3), (1, 1), (1, 3)))
     reps = restricted_reps(D)
-    tables = compute_tables(reps)
-    tree = compute_fg(reps, tables)
+    tree = compute_fg(reps)
     want_m = {(0,): 1, (1,): 2, (0, 3): 3, (1, 1): 3, (1, 3): 3}
     for prefix, val in want_m.items():
-        if tables.m.get(prefix) != val:
-            failures.append(f"m{list(prefix)} = {tables.m.get(prefix)}, "
+        if reps.m_table.get(prefix) != val:
+            failures.append(f"m{list(prefix)} = {reps.m_table.get(prefix)}, "
                             f"wanted {val}")
     if tree.root.f != (6, 3):
         failures.append(f"f = {tree.root.f}, wanted (6, 3)")
@@ -283,17 +282,21 @@ def test_criterion_04_illegal_representative_choice_is_never_made():
             failures.append(f"seed {seed} emitted an illegal choice "
                             f"{sorted(reps.reps)}")
             break
-    # raw harness on the forbidden choice: the level-2 branch weight must
-    # come out as 5, which exceeds the modulus 3
-    raw = RestrictedReps(amb, (0, 1, 2), tuple(sorted(forbidden)), {})
-    tables = compute_tables(raw)
-    raw = RestrictedReps(amb, (0, 1, 2), raw.reps, dict(tables.m))
+    # raw harness on the forbidden choice, m from coset sizes alone: the
+    # level-2 branch weight must come out as 5, which exceeds the modulus 3
+    m = {}
+    for t in sorted(forbidden):
+        gamma = 1
+        for i in range(1, 4):
+            m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
+            gamma *= m[t[:i]]
+    raw = RestrictedReps(amb, (0, 1, 2), tuple(sorted(forbidden)), m)
     if check_restriction(raw):
         failures.append("the forbidden choice passed check_restriction")
-    total = tables.m[(0, 0)] + tables.m[(0, 1)] + tables.m[(0, 2)]
+    total = m[(0, 0)] + m[(0, 1)] + m[(0, 2)]
     if total != 5:
         failures.append(f"branch weight sum {total}, wanted 5")
-    level2 = compute_fg(raw, tables).root.children[0]
+    level2 = compute_fg(raw).root.children[0]
     if level2.values[(0,)] != 5 or level2.f[0] != 5:
         failures.append("the raw tree did not surface the weight-5 branch")
     emit(4, failures, "no random seed picks the forbidden representatives; "

@@ -280,6 +280,24 @@ def test_infoset_deterministic_and_rep_invariant(tmp_path, capsys):
     assert c1 == c2
 
 
+@pytest.mark.parametrize("text", ["q: 2\nr: [3, 5]\n", "q: 3\nr: [1]\n",
+                                  "q: 2\nr: [3, 5]\ndefining_set:\n  orbits: "
+                                  "[\"0,0\", \"0,1\", \"1,0\", \"1,1\", \"1,2\"]\n"],
+                         ids=["empty-3x5", "empty-1", "full-3x5"])
+def test_infoset_lines_have_no_trailing_space(tmp_path, capsys, text):
+    # an empty defining set leaves the representative, f and check lists
+    # empty, a full one the information list
+    code, out = run_cli(capsys, "infoset", write(tmp_path, text))
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert [line for line in lines if line != line.rstrip()] == []
+    if "defining set size: 0" in lines:
+        assert "representatives:" in lines
+        assert "check positions (0):" in lines
+    else:
+        assert "information positions (0):" in lines
+
+
 # ---------- verify / mindist ----------
 
 

@@ -6,15 +6,13 @@ m/f/g tables and exact position sets; the remaining tests are properties
 seeded random codes.
 """
 
+import itertools
 import math
 import random
 
-import pytest
-
-from abcode.gamma import (CheckSet, GammaTables, build_gamma, compute_fg,
-                          compute_tables, information_set)
+from abcode.gamma import build_gamma, compute_fg
 from abcode.orbit import (Ambient, DefiningSet, RestrictedReps, check_restriction,
-                          from_orbit_reps, orbits, qorbit, restricted_reps,
+                          coset, orbits, qorbit, restricted_reps, unpermute,
                           validate_defining_set)
 
 # ---------- frozen two-axis code on (3, 7) ----------
@@ -44,6 +42,43 @@ GAMMA_35_AXIS1_FIRST = {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, 2)}
 GAMMA_35_AXIS2_FIRST = {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3), (0, 4)}
 
 
+def hand_wired_reps(amb, reps):
+    """RestrictedReps on hand-picked reps (axis order kept), m from coset sizes."""
+    m = {}
+    for t in reps:
+        gamma = 1
+        for i in range(1, len(t) + 1):
+            m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
+            gamma *= m[t[:i]]
+    return RestrictedReps(amb, tuple(range(amb.n)), tuple(reps), m)
+
+
+def gamma_oracle(reps):
+    """Gamma from the m-table alone, with no threshold tree.
+
+    In processed coordinates, with P_t the length-t prefixes of the reps:
+    W_{n-1}(e) sums m(x) over the children x of e, W_{t-1}(e) sums m(x)
+    over the children x of e with W_t(x) > i_{t+1}, and i lies in Gamma
+    iff i_1 < W_0(()).
+    """
+    n = reps.ambient.n
+    m = reps.m_table
+    children = {}
+    for t in reps.processed():
+        for i in range(n):
+            children.setdefault(t[:i], set()).add(t[:i + 1])
+
+    def weight(e, i):
+        kids = children.get(e, ())
+        if len(e) == n - 1:
+            return sum(m[x] for x in kids)
+        return sum(m[x] for x in kids if weight(x, i) > i[len(e) + 1])
+
+    return {unpermute(i, reps.ordering)
+            for i in itertools.product(*map(range, reps.processed_moduli()))
+            if i[0] < weight((), i)}
+
+
 def random_ambient(rng, qs=(2, 3, 5), max_len=60):
     q = rng.choice(qs)
     n = rng.randint(1, 3)
@@ -71,15 +106,10 @@ def random_defining_set(rng, amb):
 def test_tables_on_37():
     reps = restricted_reps(D_37)
     assert sorted(reps.reps) == [(0, 3), (1, 1), (1, 3)]
-    tables = compute_tables(reps)
-    assert tables.m[(0,)] == 1
-    assert tables.m[(1,)] == 2
-    assert tables.m[(0, 3)] == 3
-    assert tables.m[(1, 1)] == 3
-    assert tables.m[(1, 3)] == 3
-    assert tables.gamma((0, 3)) == 3
-    assert tables.gamma((1, 1)) == 6
-    tree = compute_fg(reps, tables)
+    assert reps.m_table == {(0,): 1, (1,): 2, (0, 3): 3, (1, 1): 3, (1, 3): 3}
+    assert reps.gamma((0, 3)) == 3
+    assert reps.gamma((1, 1)) == 6
+    tree = compute_fg(reps)
     assert tree.root.f == (6, 3)
     assert tree.root.children == (2, 3)
     assert tree.g([1]) == 2
@@ -92,18 +122,19 @@ def test_gamma_on_37():
     cs = build_gamma(D_37)
     assert cs.positions == frozenset(GAMMA_37)
     assert len(cs) == len(D_37) == 15
-    assert information_set(cs) == frozenset(set(AMB_37.positions()) - GAMMA_37)
+    assert cs.complement() == frozenset(set(AMB_37.positions()) - GAMMA_37)
 
 
 def test_tables_on_333():
     reps = restricted_reps(D_333)
     assert sorted(reps.reps) == [(0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 2)]
-    tables = compute_tables(reps)
-    assert tables.m[(1,)] == 2
-    assert tables.m[(0, 1)] == 2
+    m = reps.m_table
+    assert m[(1,)] == 2
+    assert m[(0, 1)] == 2
     for prefix in [(0,), (0, 0), (1, 1), (0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 2)]:
-        assert tables.m[prefix] == 1
-    tree = compute_fg(reps, tables)
+        assert m[prefix] == 1
+    assert len(m) == 9
+    tree = compute_fg(reps)
     root = tree.root
     assert root.f == (2, 1)
     assert root.values == {(0, 0): 1, (0, 1): 1, (1, 1): 2}
@@ -138,18 +169,16 @@ def test_gamma_on_35_depends_on_ordering():
 def test_tables_on_35_both_orderings():
     r1 = restricted_reps(D_35)
     assert sorted(r1.reps) == [(0, 0), (1, 0), (1, 2)]
-    t1 = compute_tables(r1)
-    assert [t1.m[p] for p in [(0,), (1,), (0, 0), (1, 0), (1, 2)]] == [1, 2, 1, 1, 2]
-    tr1 = compute_fg(r1, t1)
+    assert r1.m_table == {(0,): 1, (1,): 2, (0, 0): 1, (1, 0): 1, (1, 2): 2}
+    tr1 = compute_fg(r1)
     assert tr1.root.f == (3, 1)
     assert tr1.root.children == (2, 3)
 
     r2 = restricted_reps(D_35, ordering=(1, 0))
     assert sorted(r2.reps) == [(0, 0), (1, 0), (2, 1)]
-    t2 = compute_tables(r2)
     # processed layout: second axis first
-    assert [t2.m[p] for p in [(0,), (1,), (0, 0), (0, 1), (1, 2)]] == [1, 4, 1, 2, 1]
-    tr2 = compute_fg(r2, t2)
+    assert r2.m_table == {(0,): 1, (1,): 4, (0, 0): 1, (0, 1): 2, (1, 2): 1}
+    tr2 = compute_fg(r2)
     assert tr2.root.f == (3, 1)
     assert tr2.root.children == (1, 5)
 
@@ -176,12 +205,10 @@ def test_forbidden_representatives_break_the_formulas():
 
     # wire the forbidden choice in by hand: the level-2 branch weight
     # exceeds the modulus, so no threshold interval can realize it
-    raw = RestrictedReps(amb, (0, 1, 2), tuple(sorted(forbidden)), {})
-    tables = compute_tables(raw)
-    raw = RestrictedReps(amb, (0, 1, 2), raw.reps, dict(tables.m))
+    raw = hand_wired_reps(amb, sorted(forbidden))
     assert not check_restriction(raw)
-    assert tables.m[(0, 0)] + tables.m[(0, 1)] + tables.m[(0, 2)] == 5
-    tree = compute_fg(raw, tables)
+    assert raw.m_table[(0, 0)] + raw.m_table[(0, 1)] + raw.m_table[(0, 2)] == 5
+    tree = compute_fg(raw)
     level2 = tree.root.children[0]
     assert level2.values[(0,)] == 5
     assert level2.f[0] == 5 > amb.r[1]
@@ -249,7 +276,7 @@ def test_empty_defining_set():
     amb = Ambient(2, (3, 5))
     cs = build_gamma(DefiningSet(amb, frozenset()))
     assert len(cs) == 0
-    assert information_set(cs) == frozenset(amb.positions())
+    assert cs.complement() == frozenset(amb.positions())
 
 
 def test_full_defining_set():
@@ -264,7 +291,23 @@ def test_gamma_tables_match_orbit_sizes():
     for _ in range(30):
         amb = random_ambient(rng)
         D = random_defining_set(rng, amb)
-        reps = restricted_reps(D)
-        tables = GammaTables(reps)
+        order = tuple(rng.sample(range(amb.n), amb.n))
+        reps = restricted_reps(D, order, rng=random.Random(rng.randrange(1000)))
+        # the m recorded during selection, against coset sizes recomputed
+        recomputed = hand_wired_reps(
+            Ambient(amb.q, reps.processed_moduli()), reps.processed())
+        assert reps.m_table == recomputed.m_table
         for orig, proc in zip(reps.reps, reps.processed()):
-            assert tables.gamma(proc) == len(qorbit(amb, orig))
+            assert reps.gamma(proc) == len(qorbit(amb, orig))
+
+
+def test_gamma_matches_the_tree_free_oracle():
+    rng = random.Random(25)
+    for _ in range(60):
+        amb = random_ambient(rng)
+        D = random_defining_set(rng, amb)
+        order = tuple(rng.sample(range(amb.n), amb.n))
+        for seed in (None, 1, 2):
+            cs = build_gamma(
+                D, ordering=order, rng=None if seed is None else random.Random(seed))
+            assert cs.positions == gamma_oracle(cs.reps)

@@ -107,7 +107,11 @@ def test_modulus_is_lowest_irreducible(p, deg):
         assert not irreducible_naive(cand, p)
 
 
-@pytest.mark.parametrize("p,s,M", [(2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2)])
+# the naive scan starts at encoding 1, so where deg = s * M >= 2 it also
+# covers the constants of F_p, which the generator search skips
+@pytest.mark.parametrize("p,s,M", [(2, 1, 4), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 2),
+                                   (2, 1, 6), (3, 1, 3), (7, 1, 2), (11, 1, 2),
+                                   (13, 1, 2), (3, 1, 1), (7, 1, 1)])
 def test_generator_is_smallest_primitive(p, s, M):
     ctx = build_context(p, s, M)
     assert naive_order(ctx, ctx.generator_rep) == ctx.N
@@ -129,6 +133,7 @@ FROZEN_GENERATORS = {
     (2, 2, 22): 7,
     (3, 1, 10): 34,
     (3, 1, 8): 38,
+    (4099, 1, 2): 4102,  # x + 3: about 4 100 constants come first in the order
 }
 
 

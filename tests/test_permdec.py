@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from sympy.ntheory import n_order
 
 from abcode.code import (AbelianCode, contains, generator_matrix,
@@ -50,6 +52,22 @@ def random_codeword(rng, code):
             for j in range(code.length):
                 vec[j] = sf.add(int(vec[j]), sf.mul(c, int(row[j])))
     return vec
+
+
+def all_codewords(code):
+    """Every codeword, one row each: the F_q-span of the generator rows."""
+    f = code.scalars
+    words = np.zeros((1, code.length), dtype=f.dtype)
+    for row in generator_matrix(code).data:
+        words = np.concatenate([f.add(words, f.mul(row, c)) for c in range(f.q)])
+    return words
+
+
+# every ambient over F_2, F_3, F_4 with n <= 2 and length 3..21
+SMALL_AMBIENTS = [Ambient(q, r) for q in (2, 3, 4)
+                  for r in [(a,) for a in range(3, 22)]
+                  + [(a, b) for a in range(2, 11) for b in range(2, 22 // a + 1)]
+                  if all(math.gcd(ri, q) == 1 for ri in r)]
 
 
 # ---------- naive oracles ----------
@@ -377,6 +395,52 @@ def test_decode_matches_the_per_word_loop(D):
             else:
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_decode_returns_the_nearest_codeword(data):
+    """Every error of weight <= t on a small code with a verified t-PD-set."""
+    amb = data.draw(st.sampled_from(SMALL_AMBIENTS))
+    orbs = orbits(amb)
+    # orbits left out of D, drawn in a random order up to k <= 12 / log2(q)
+    k_max = int(12 / math.log2(amb.q))
+    free, k = [], 0
+    for i in data.draw(st.permutations(range(len(orbs)))):
+        if k + len(orbs[i]) <= k_max and data.draw(st.booleans()):
+            free.append(i)
+            k += len(orbs[i])
+    D = DefiningSet(amb, frozenset(
+        m for i, o in enumerate(orbs) if i not in free for m in o))
+    code = AbelianCode(D)
+    words = all_codewords(code)
+    assert len(words) == amb.q ** k <= 1 << 12
+    d = min((int(np.count_nonzero(w)) for w in words[1:]), default=0)
+    cs = build_gamma(D)
+    info = cs.complement()
+    table = data.draw(st.sampled_from([enumerate_lambda, translation_subgroup]))(amb)
+    # the largest t < d / 2 with at most 1000 error patterns and a PD-set
+    t = (d - 1) // 2
+    while t >= 1 and (sum(math.comb(amb.length, w) * (amb.q - 1) ** w
+                          for w in range(1, t + 1)) > 1000
+                      or not is_pd_set(amb, table, info, t)):
+        t -= 1
+    assume(t >= 1)
+    H_std, _ = standard_form_parity(code, cs)
+    pd = PDSet(table, t, info)
+    sent = words[data.draw(st.integers(0, len(words) - 1))]
+    f = code.scalars
+    for w in range(t + 1):
+        for support in itertools.combinations(range(amb.length), w):
+            for values in itertools.product(range(1, amb.q), repeat=w):
+                received = sent.copy()
+                received[list(support)] = f.add(received[list(support)],
+                                                np.array(values, dtype=f.dtype))
+                dist = np.count_nonzero(words != received, axis=1)
+                nearest = words[int(np.argmin(dist))]
+                got = permutation_decode(code, H_std, pd, received, t)
+                assert got is not None
+                assert np.array_equal(got, nearest)
 
 
 def test_decode_validates_length():
