@@ -7,15 +7,15 @@ coprime factorization (crt module), and decode with the translation and
 Frobenius permutations (permdec module).
 """
 
-from .code import (AbelianCode, CheckTensor, DistanceResult, MatrixGF,
-                   VerifyResult, check_tensor, contains, dimension,
-                   distance_at_least, encode, evaluate_at_root,
-                   find_low_weight_codeword, generator_matrix, min_distance,
-                   parity_matrix, standard_form_parity, verify_check_positions)
+from .code import (AbelianCode, DistanceResult, MatrixGF, VerifyResult,
+                   check_tensor, contains, dimension, distance_at_least,
+                   encode, find_low_weight_codeword, generator_matrix,
+                   min_distance, parity_matrix, standard_form_parity,
+                   verify_check_positions)
 from .crt import CrtMap
 from .gamma import CheckSet, FGNode, FGTree, build_gamma, compute_fg
-from .gf import (FieldContext, FieldElem, FieldError, ScalarField,
-                 build_context, root_of_unity, subfield_coords)
+from .gf import (FieldContext, FieldError, ScalarField, build_context,
+                 root_of_unity, subfield_coords)
 from .orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,
                     check_restriction, coset, frobenius_order,
                     from_orbit_reps, normalize_ordering, orbits, permute,

@@ -17,12 +17,12 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .code import (AbelianCode, generator_matrix, min_distance, parity_matrix,
-                   standard_form_parity, verify_check_positions)
+from .code import (AbelianCode, min_distance, standard_form_parity,
+                   verify_check_positions)
 from .crt import CrtMap
 from .gamma import CheckSet, build_gamma
 from .orbit import (Ambient, DefiningSet, from_orbit_reps, normalize_ordering,
-                    orbits, restricted_reps, validate_defining_set)
+                    orbits, validate_defining_set)
 from .permdec import (PDSet, SearchConstraints, design_report, design_search,
                       enumerate_lambda, is_pd_set, permutation_decode,
                       translation_subgroup)

@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .gamma import CheckSet
-from .gf import (MAX_FIELD_BITS, FieldElem, FieldError, MatrixGF, ScalarField,
-                 _unpack_rows, build_context, root_of_unity, subfield_coords)
+from .gf import (MAX_FIELD_BITS, FieldError, MatrixGF, ScalarField, _unpack_rows,
+                 build_context, root_of_unity, subfield_coords)
 from .nt import factorint
-from .orbit import Ambient, DefiningSet, frobenius_order, restricted_reps
+from .orbit import DefiningSet, frobenius_order, restricted_reps
 
 _FULL_ENUM_LIMIT = 1 << 20
 _GRAY_MAX_K = 28
@@ -53,7 +53,6 @@ class AbelianCode:
         self.ctx = build_context(p, s, frobenius_order(amb))
         self.scalars = ScalarField(self.ctx)
         self.reps = restricted_reps(defining)
-        self._tensor = None
         self._parity = None
         self._generator = None
 
@@ -70,17 +69,6 @@ class AbelianCode:
                 f"|D|={len(self.defining)}, k={self.dimension})")
 
 
-@dataclass
-class CheckTensor:
-    """Concatenated subfield-coordinate blocks, one per representative."""
-
-    reps: tuple
-    sizes: tuple
-    offsets: tuple
-    matrix: np.ndarray
-    basis_shift: int = 0
-
-
 def _beta_powers(code: AbelianCode):
     """(L, deg) digit rows of beta^0, ..., beta^(L-1), beta of order L = lcm(r).
 
@@ -88,7 +76,7 @@ def _beta_powers(code: AbelianCode):
     beta, and L is at most the length.
     """
     L = math.lcm(*code.ambient.r)
-    return code.ctx.powers(root_of_unity(code.ctx, L).rep, L)
+    return code.ctx.powers(root_of_unity(code.ctx, L), L)
 
 
 def _exponents(code: AbelianCode, e) -> np.ndarray:
@@ -103,42 +91,27 @@ def _exponents(code: AbelianCode, e) -> np.ndarray:
     return c @ np.indices(r).reshape(len(r), -1) % L
 
 
-def check_tensor(code: AbelianCode, basis_shift: int = 0) -> CheckTensor:
-    """Assemble the check tensor of the code.
+def check_tensor(code: AbelianCode) -> np.ndarray:
+    """The check tensor as a (|D|, l) label array.
 
-    basis_shift b replaces the designated basis (1, g, ..., g^(d-1)) of each
-    subfield with (g^b, ..., g^(d-1+b)); any b gives an equivalent tensor,
-    which the verification tests rely on.
-
-    Every entry of a representative's block is a power beta^k, so each
-    block takes one subfield_coords call on the distinct powers that occur
-    and gathers the columns from its result.
+    Each representative of q-orbit size d owns a block of d rows.  Every
+    entry of a block is a power beta^k, so each block takes one
+    subfield_coords call on the distinct powers that occur and gathers the
+    columns from its result.  parity_matrix caches the result.
     """
-    if basis_shift == 0 and code._tensor is not None:
-        return code._tensor
-    ctx = code.ctx
-    amb = code.ambient
-    reps = code.reps.reps
     sizes = tuple(code.reps.gamma(t) for t in code.reps.processed())
-    offsets = tuple(itertools.accumulate((0,) + sizes[:-1]))
-    mat = np.zeros((sum(sizes), amb.length), dtype=code.scalars.dtype)
+    offsets = itertools.accumulate((0,) + sizes[:-1])
+    mat = np.zeros((sum(sizes), code.length), dtype=code.scalars.dtype)
     powers = _beta_powers(code)
-    for rep, d, off in zip(reps, sizes, offsets):
+    for rep, d, off in zip(code.reps.reps, sizes, offsets):
         ks, where = np.unique(_exponents(code, rep), return_inverse=True)
-        elems = powers[ks]
-        if basis_shift:
-            shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % (amb.q**d - 1))
-            elems = elems @ ctx.mul_matrix(shift) % ctx.p
-        mat[off:off + d] = subfield_coords(ctx, elems, d)[where].T
-    tensor = CheckTensor(tuple(reps), sizes, offsets, mat, basis_shift)
-    if basis_shift == 0:
-        code._tensor = tensor
-    return tensor
+        mat[off:off + d] = subfield_coords(code.ctx, powers[ks], d)[where].T
+    return mat
 
 
 def parity_matrix(code: AbelianCode) -> MatrixGF:
     if code._parity is None:
-        code._parity = MatrixGF(code.scalars, check_tensor(code).matrix, role="parity")
+        code._parity = MatrixGF(code.scalars, check_tensor(code))
     return code._parity
 
 
@@ -146,10 +119,9 @@ def generator_matrix(code: AbelianCode) -> MatrixGF:
     if code._generator is None:
         if len(code.defining) == 0:
             eye = np.eye(code.length, dtype=np.uint8)
-            code._generator = MatrixGF(code.scalars, eye, role="generator")
+            code._generator = MatrixGF(code.scalars, eye)
         else:
             code._generator = parity_matrix(code).nullspace()
-            code._generator.role = "generator"
     return code._generator
 
 
@@ -161,19 +133,6 @@ def contains(code: AbelianCode, vec) -> bool:
     if len(code.defining) == 0:
         return True
     return not np.any(parity_matrix(code).mul_vec(vec))
-
-
-def evaluate_at_root(code: AbelianCode, vec, exponent) -> FieldElem:
-    """P(alpha_1^e_1, ..., alpha_n^e_n) for a coefficient vector P."""
-    ctx = code.ctx
-    vec = np.asarray(vec)
-    nonzero = np.flatnonzero(vec)
-    beta = root_of_unity(ctx, math.lcm(*code.ambient.r)).rep
-    coeffs = {int(c): code.scalars.element(int(c)).rep for c in np.unique(vec[nonzero])}
-    acc = ctx.zero
-    for label, k in zip(vec[nonzero], _exponents(code, exponent)[nonzero]):
-        acc = ctx.add(acc, ctx.mul(coeffs[int(label)], ctx.pow(beta, int(k))))
-    return FieldElem(ctx, acc)
 
 
 # ---------- verification ----------
@@ -487,21 +446,19 @@ def find_low_weight_codeword(code: AbelianCode, wmax: int):
 def standard_form_parity(code: AbelianCode, cs: CheckSet):
     """Parity matrix with an identity block on the (sorted) check positions.
 
-    Returns (MatrixGF, check column indices).  Raises if cs fails
-    verification, since the reduction needs an invertible check block.
+    Returns (MatrixGF, check column indices).  One reduction both verifies
+    cs and builds the form: the check block is invertible exactly when every
+    check column pivots.  Raises ValueError when cs fails, naming the
+    failure as verify_check_positions does.
     """
-    res = verify_check_positions(code, cs)
-    if not res:
-        raise ValueError(f"check positions not verified: {res.reason}")
-    if len(code.defining) == 0:
-        return MatrixGF(code.scalars, np.zeros((0, code.length), dtype=np.uint8),
-                        role="standard-parity"), []
+    if cs.ambient != code.ambient:
+        raise ValueError("check set belongs to a different ambient")
+    if len(cs.positions) != len(code.defining):
+        raise ValueError("check positions not verified: cardinality")
     cols = sorted(code.ambient.index_of(t) for t in cs.positions)
-    H = parity_matrix(code)
-    R, pivots = H.rref(col_order=cols)
-    if list(pivots) != cols:
-        raise AssertionError("verified check block failed to pivot (unreachable)")
-    R.role = "standard-parity"
+    R, pivots = parity_matrix(code).rref(col_order=cols)
+    if pivots != cols:
+        raise ValueError("check positions not verified: rank")
     return R, cols
 
 

@@ -22,7 +22,6 @@ reduction is the only one, and the subfield solvers use it over F_p.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -192,10 +191,6 @@ class FieldContext:
             enc //= self.p
         return tuple(digits)
 
-    def digits(self, rep) -> list:
-        """Coefficient list, low degree first, length deg."""
-        return list(rep)
-
     # -- arithmetic on raw representations --
 
     def add(self, a, b):
@@ -336,82 +331,41 @@ class FieldContext:
         return f"FieldContext(p={self.p}, s={self.s}, M={self.M})"
 
 
-@dataclass(frozen=True)
-class FieldElem:
-    """Element of a FieldContext; thin immutable wrapper over the raw rep."""
-
-    ctx: FieldContext
-    rep: object
-
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise FieldError("elements from different contexts")
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.add(self.rep, other.rep))
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.sub(self.rep, other.rep))
-
-    def __neg__(self):
-        return FieldElem(self.ctx, self.ctx.neg(self.rep))
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElem(self.ctx, self.ctx.mul(self.rep, other.rep))
-
-    def __pow__(self, e: int):
-        return FieldElem(self.ctx, self.ctx.pow(self.rep, e))
-
-    @property
-    def coeffs(self):
-        return self.rep
-
-    def __repr__(self):
-        return f"FieldElem{self.coeffs}"
-
-
 @functools.lru_cache(maxsize=None)
 def build_context(p: int, s: int, M: int) -> FieldContext:
     """Deterministic context for F_{p^(s*M)} over the base field F_{p^s}."""
     return FieldContext(p, s, M)
 
 
-def root_of_unity(ctx: FieldContext, r: int) -> FieldElem:
+def root_of_unity(ctx: FieldContext, r: int):
     """The canonical element of multiplicative order exactly r."""
     if r < 1:
         raise FieldError("order must be positive")
     if r == 1:
-        return FieldElem(ctx, ctx.one)
+        return ctx.one
     if ctx.N % r != 0:
         raise FieldError(f"no element of order {r}: {r} does not divide {ctx.N}")
-    return FieldElem(ctx, ctx.pow(ctx.generator_rep, ctx.N // r))
+    return ctx.pow(ctx.generator_rep, ctx.N // r)
 
 
 def subfield_coords(ctx: FieldContext, a, d: int):
-    """Coordinates of a over F_q in the designated basis of F_{q^d}.
+    """Coordinates over F_q, in the designated basis of F_{q^d}, of m elements.
 
-    For a FieldElem, returns a length-d tuple of base field labels.  a may
-    also be an (m, deg) integer array whose rows are the digits of m
-    elements (as FieldContext.digits gives them); the result is then an
-    (m, d) int64 label array, and FieldError is raised if any row lies
-    outside F_{q^d}.  A label encodes the element sum(c_j * eta^j) of F_q
-    as the integer sum(c_j * p^j), so labels 0 and 1 are the field's 0 and
-    1, and for s = 1 the label is the residue.
+    a is an (m, deg) integer array whose rows are the digit tuples of the
+    elements; the result is an (m, d) int64 label array, and FieldError is
+    raised if any row lies outside F_{q^d}.  A label encodes the element
+    sum(c_j * eta^j) of F_q as the integer sum(c_j * p^j), so labels 0 and
+    1 are the field's 0 and 1, and for s = 1 the label is the residue.
     """
     if ctx.M % d != 0:
         raise FieldError(f"d = {d} does not divide M = {ctx.M}")
     extract, consistency = ctx._solver(d)
-    single = isinstance(a, FieldElem)
-    rows = np.asarray([a.rep] if single else a, dtype=np.int64)
+    rows = np.asarray(a, dtype=np.int64)
     if consistency.size and np.any((rows @ consistency.T) % ctx.p):
         raise FieldError(f"element is not in F_{{q^{d}}}")
     coords = (rows @ extract.T) % ctx.p
     p, s = ctx.p, ctx.s
-    labels = coords.reshape(len(rows), d, s) @ p ** np.arange(s, dtype=np.int64)
-    return tuple(int(v) for v in labels[0]) if single else labels
+    return coords.reshape(len(rows), d, s) @ p ** np.arange(s, dtype=np.int64)
 
 
 class ScalarField:
@@ -445,11 +399,11 @@ class ScalarField:
         """Base-p digits of a label or label array on a new last axis, low first."""
         return np.asarray(labels)[..., None] // self.p ** np.arange(self.s) % self.p
 
-    def element(self, label: int) -> FieldElem:
-        """The element sum(c_j * eta^j) for the label sum(c_j * p^j)."""
+    def element(self, label: int):
+        """The digit tuple of sum(c_j * eta^j) for the label sum(c_j * p^j)."""
         ctx = self.ctx
         row = self._digits(label) @ ctx.powers(ctx.eta(), self.s) % self.p
-        return FieldElem(ctx, tuple(row.tolist()))
+        return tuple(row.tolist())
 
     # ops on labels and label arrays
 
@@ -552,12 +506,11 @@ class ScalarField:
 class MatrixGF:
     """Dense matrix over the base field, entries stored as integer labels."""
 
-    def __init__(self, scalars: ScalarField, data, role: str = "matrix"):
+    def __init__(self, scalars: ScalarField, data):
         self.field = scalars
         self.data = np.array(data, dtype=scalars.dtype, copy=True)
         if self.data.ndim != 2:
             self.data = self.data.reshape(1, -1)
-        self.role = role
 
     @property
     def shape(self):
@@ -575,7 +528,7 @@ class MatrixGF:
             col_order = range(n)
         if f.q == 2:
             rows, pivots = _rref_ints(self.row_ints(), col_order)
-            return MatrixGF(f, _unpack_rows(rows, n), role="rref"), pivots
+            return MatrixGF(f, _unpack_rows(rows, n)), pivots
         A = self.data.copy()
         pivots = []
         for col in col_order:
@@ -596,10 +549,10 @@ class MatrixGF:
             if others.size:
                 A[others] = f.submul(A[others], A[others, col][:, None], A[row])
             pivots.append(col)
-        return MatrixGF(f, A, role="rref"), pivots
+        return MatrixGF(f, A), pivots
 
-    def rank(self, col_order=None) -> int:
-        return len(self.rref(col_order)[1])
+    def rank(self) -> int:
+        return len(self.rref()[1])
 
     def nullspace(self):
         """Basis of the right kernel, one row per basis vector."""
@@ -609,7 +562,7 @@ class MatrixGF:
         basis = np.zeros((len(free), n), dtype=self.data.dtype)
         basis[np.arange(len(free)), free] = 1
         basis[:, pivots] = self.field.neg(R.data[:len(pivots)][:, free]).T
-        return MatrixGF(self.field, basis, role="generator")
+        return MatrixGF(self.field, basis)
 
     def mul_vec(self, vec) -> np.ndarray:
         return self.field.dot(self.data, np.asarray(vec))
@@ -622,7 +575,7 @@ class MatrixGF:
         return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
     def __repr__(self):
-        return f"MatrixGF(role={self.role!r}, shape={self.data.shape}, q={self.field.q})"
+        return f"MatrixGF(shape={self.data.shape}, q={self.field.q})"
 
 
 def _rref_ints(rows, col_order):

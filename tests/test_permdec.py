@@ -20,7 +20,7 @@ from abcode.code import (AbelianCode, contains, generator_matrix,
                          standard_form_parity)
 from abcode.gamma import CheckSet, build_gamma
 from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
-                          from_orbit_reps, orbits, validate_defining_set)
+                          from_orbit_reps, orbits)
 from abcode.permdec import (PDSet, SearchConstraints, design_report,
                             design_search, enumerate_lambda, is_pd_set,
                             lemma13_check, lemma15_check, permutation_decode,
