@@ -13,7 +13,7 @@ from .code import (AbelianCode, DistanceResult, MatrixGF, VerifyResult,
                    min_distance, parity_matrix, standard_form_parity,
                    verify_check_positions)
 from .crt import CrtMap
-from .gamma import CheckSet, FGNode, FGTree, build_gamma, compute_fg
+from .gamma import CheckSet, FGTables, build_gamma, compute_fg
 from .gf import (FieldContext, FieldError, ScalarField, build_context,
                  root_of_unity, subfield_coords)
 from .orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,

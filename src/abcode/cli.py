@@ -20,9 +20,9 @@ import yaml
 from .code import (AbelianCode, min_distance, standard_form_parity,
                    verify_check_positions)
 from .crt import CrtMap
-from .gamma import CheckSet, build_gamma
-from .orbit import (Ambient, DefiningSet, from_orbit_reps, normalize_ordering,
-                    orbits, validate_defining_set)
+from .gamma import build_gamma
+from .orbit import (Ambient, DefiningSet, coset, from_orbit_reps,
+                    normalize_ordering, orbits, validate_defining_set)
 from .permdec import (PDSet, SearchConstraints, design_report, design_search,
                       enumerate_lambda, is_pd_set, permutation_decode,
                       translation_subgroup)
@@ -120,13 +120,10 @@ def parse_spec(text: str) -> CodeSpec:
         members = set()
         l = cmap.length
         for entry in residues:
-            t = entry % l
             if "orbits" in ds_block:
-                while t not in members:
-                    members.add(t)
-                    t = (t * q) % l
+                members.update(coset(entry, l, q))
             else:
-                members.add(t)
+                members.add(entry % l)
         defining = cmap.transport_defining_set(q, members)
         return CodeSpec(q, cmap.factors, defining, ordering, cmap,
                         tuple(sorted(members)))
@@ -214,23 +211,6 @@ def cmd_orbits(spec: CodeSpec, args) -> int:
     return EXIT_OK
 
 
-def _tree_tables(cs: CheckSet):
-    f_table = {}
-    g_table = {}
-
-    def walk(node, path):
-        f_table[path] = list(node.f)
-        for u, child in enumerate(node.children, start=1):
-            if node.level == 2:
-                g_table[path + (u,)] = child
-            else:
-                walk(child, path + (u,))
-
-    if cs.tree is not None and cs.tree.root is not None:
-        walk(cs.tree.root, ())
-    return f_table, g_table
-
-
 def _row(head: str, text: str) -> str:
     """head and text joined by a space; no trailing space when text is empty."""
     return f"{head} {text}" if text else head
@@ -258,10 +238,10 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
     m_items = sorted(cs.reps.m_table.items())
     for prefix, mv in m_items:
         lines.append(f"m[{_fmt_index(prefix)}] = {mv}")
-    f_table, g_table = _tree_tables(cs)
-    for path in sorted(f_table):
+    g_table = {p: v for p, v in cs.fg.g.items() if p}  # n = 1 has only g[()]
+    for path in sorted(cs.fg.f):
         lines.append(_row(f"{_label('f', path)} =",
-                          ",".join(str(v) for v in f_table[path])))
+                          ",".join(str(v) for v in cs.fg.f[path])))
     for path in sorted(g_table):
         lines.append(f"{_label('g', path)} = {g_table[path]}")
     lines.append(_row(f"check positions ({len(check)}):",
@@ -273,7 +253,7 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
            "ordering": [a + 1 for a in (ordering or range(spec.ambient.n))],
            "representatives": [_fmt_index(t) for t in cs.reps.reps],
            "m": {_fmt_index(p): v for p, v in m_items},
-           "f": {_label("f", p): v for p, v in f_table.items()},
+           "f": {_label("f", p): v for p, v in cs.fg.f.items()},
            "g": {_label("g", p): v for p, v in g_table.items()},
            "check_positions": [_fmt_index(t) for t in check],
            "information_positions": [_fmt_index(t) for t in info],

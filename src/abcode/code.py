@@ -117,11 +117,7 @@ def parity_matrix(code: AbelianCode) -> MatrixGF:
 
 def generator_matrix(code: AbelianCode) -> MatrixGF:
     if code._generator is None:
-        if len(code.defining) == 0:
-            eye = np.eye(code.length, dtype=np.uint8)
-            code._generator = MatrixGF(code.scalars, eye)
-        else:
-            code._generator = parity_matrix(code).nullspace()
+        code._generator = parity_matrix(code).nullspace()
     return code._generator
 
 
@@ -130,8 +126,6 @@ def dimension(code: AbelianCode) -> int:
 
 
 def contains(code: AbelianCode, vec) -> bool:
-    if len(code.defining) == 0:
-        return True
     return not np.any(parity_matrix(code).mul_vec(vec))
 
 
@@ -163,8 +157,6 @@ def verify_check_positions(code: AbelianCode, cs: CheckSet) -> VerifyResult:
     npos = len(cs.positions)
     if npos != expected:
         return VerifyResult(False, "cardinality", -1, expected)
-    if expected == 0:
-        return VerifyResult(True, "ok", 0, 0)
     cols = sorted(code.ambient.index_of(t) for t in cs.positions)
     _, pivots = MatrixGF(code.scalars, parity_matrix(code).data[:, cols]).rref()
     rank = len(pivots)

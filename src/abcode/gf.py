@@ -180,11 +180,8 @@ class FieldContext:
 
     # -- encoding --
 
-    def encode(self, rep) -> int:
-        """Integer encoding sum(c_i * p^i); the canonical element order."""
-        return sum(c * self.p**i for i, c in enumerate(rep))
-
     def decode(self, enc: int):
+        """Digits of the encoding sum(c_i * p^i); the canonical element order."""
         digits = []
         for _ in range(self.deg):
             digits.append(enc % self.p)

@@ -184,15 +184,11 @@ def lemma15_check(code: AbelianCode, cs: CheckSet) -> bool:
     """
     if code.ambient.n != 2:
         raise ValueError("condition is stated for two-variable codes only")
-    if cs.tree is None or cs.reps is None:
+    if cs.fg is None or cs.reps is None:
         raise ValueError("check set carries no construction data")
     r1p, r2p = cs.reps.processed_moduli()
-    root = cs.tree.root
-    if root is None or not root.f:
-        return False
-    if root.f[0] != r2p:
-        return False
-    if root.children[-1] != r1p:
+    f = cs.fg.f[()]
+    if not f or f[0] != r2p or cs.fg.g[(len(f),)] != r1p:
         return False
     return _hits_all_orbits(code.ambient, cs.positions)
 

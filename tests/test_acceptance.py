@@ -211,16 +211,16 @@ def test_criterion_01_two_axis_check_set_and_tables():
     amb = Ambient(2, (3, 7))
     D = from_orbit_reps(amb, ((0, 3), (1, 1), (1, 3)))
     reps = restricted_reps(D)
-    tree = compute_fg(reps)
+    fg = compute_fg(reps)
     want_m = {(0,): 1, (1,): 2, (0, 3): 3, (1, 1): 3, (1, 3): 3}
     for prefix, val in want_m.items():
         if reps.m_table.get(prefix) != val:
             failures.append(f"m{list(prefix)} = {reps.m_table.get(prefix)}, "
                             f"wanted {val}")
-    if tree.root.f != (6, 3):
-        failures.append(f"f = {tree.root.f}, wanted (6, 3)")
-    if (tree.g([1]), tree.g([2])) != (2, 3):
-        failures.append(f"g = {(tree.g([1]), tree.g([2]))}, wanted (2, 3)")
+    if fg.f[()] != (6, 3):
+        failures.append(f"f = {fg.f[()]}, wanted (6, 3)")
+    if (fg.g[(1,)], fg.g[(2,)]) != (2, 3):
+        failures.append(f"g = {(fg.g[(1,)], fg.g[(2,)])}, wanted (2, 3)")
     cs = build_gamma(D)
     if cs.positions != GAMMA_37:
         failures.append(f"check set has {len(cs.positions)} positions, "
@@ -236,20 +236,18 @@ def test_criterion_02_three_axis_check_set_and_tree():
     cs = build_gamma(D)
     if cs.positions != GAMMA_333:
         failures.append("check set differs from the 7 expected triples")
-    tree = cs.tree
-    if tree.root.f != (2, 1):
-        failures.append(f"top thresholds f = {tree.root.f}, wanted (2, 1)")
-    if tree.root.children[0].f != (1,):
-        failures.append(f"branch-1 thresholds = {tree.root.children[0].f}, "
-                        f"wanted (1,)")
-    if tree.root.children[1].f != (3, 1):
-        failures.append(f"branch-2 thresholds = {tree.root.children[1].f}, "
-                        f"wanted (3, 1)")
-    got_g = (tree.g([1, 1]), tree.g([2, 1]), tree.g([2, 2]))
+    fg = cs.fg
+    if fg.f[()] != (2, 1):
+        failures.append(f"top thresholds f = {fg.f[()]}, wanted (2, 1)")
+    if fg.f[(1,)] != (1,):
+        failures.append(f"branch-1 thresholds = {fg.f[(1,)]}, wanted (1,)")
+    if fg.f[(2,)] != (3, 1):
+        failures.append(f"branch-2 thresholds = {fg.f[(2,)]}, wanted (3, 1)")
+    got_g = (fg.g[(1, 1)], fg.g[(2, 1)], fg.g[(2, 2)])
     if got_g != (2, 1, 3):
         failures.append(f"g values {got_g}, wanted (2, 1, 3)")
     emit(2, failures, "check set on (2;3,3,3) reproduces the 7 triples and "
-                      "the threshold tree exactly")
+                      "the f/g tables exactly")
 
 
 def test_criterion_03_axis_ordering_changes_the_check_set():
@@ -296,9 +294,8 @@ def test_criterion_04_illegal_representative_choice_is_never_made():
     total = m[(0, 0)] + m[(0, 1)] + m[(0, 2)]
     if total != 5:
         failures.append(f"branch weight sum {total}, wanted 5")
-    level2 = compute_fg(raw).root.children[0]
-    if level2.values[(0,)] != 5 or level2.f[0] != 5:
-        failures.append("the raw tree did not surface the weight-5 branch")
+    if compute_fg(raw).f[(1,)] != (5,):
+        failures.append("the raw tables did not surface the weight-5 branch")
     emit(4, failures, "no random seed picks the forbidden representatives; "
                       "the raw harness shows their branch weight 5 > 3")
 
@@ -448,8 +445,8 @@ def test_criterion_08_length_45_two_error_codes():
     if len(gamma7) != 45 - dimension(c7.code):
         failures.append(f"first (3,15) code: {len(gamma7)} check positions, "
                         f"wanted 45 - {dimension(c7.code)}")
-    tree7 = c7.cs.tree
-    f7, g7 = tree7.root.f, (tree7.g([1]), tree7.g([2]))
+    fg7 = c7.cs.fg
+    f7, g7 = fg7.f[()], (fg7.g[(1,)], fg7.g[(2,)])
     if f7 != (8, 3) or g7 != (1, 3):
         failures.append(f"first (3,15) code: thresholds f={f7}, g={g7}, "
                         f"wanted f=(8,3), g=(1,3)")

@@ -264,6 +264,25 @@ def test_infoset_crt_pullback(tmp_path, capsys):
     assert "cyclic check positions: 0 1 3 5 6 9 10 11 12" in out
 
 
+@pytest.mark.parametrize("text,f_lines,f_doc", [
+    ("q: 2\nr: [7]\ndefining_set:\n  orbits: [\"1\"]\n", [], {}),  # n = 1
+    ("q: 2\nr: [3, 5]\n", ["f ="], {"f": []}),                    # empty set
+])
+def test_infoset_fg_lines_on_degenerate_tables(tmp_path, capsys, text,
+                                               f_lines, f_doc):
+    # n = 1 keeps its count g[()] = |D| off the output; an empty set at
+    # n >= 2 prints its empty top threshold sequence and no g at all
+    path = write(tmp_path, text)
+    code, out = run_cli(capsys, "infoset", path)
+    assert code == EXIT_OK
+    assert [ln for ln in out.splitlines() if ln.startswith("f")] == f_lines
+    assert not [ln for ln in out.splitlines() if ln.startswith("g")]
+    code, out = run_cli(capsys, "infoset", path, "--machine-output")
+    doc = yaml.safe_load(out)
+    assert doc["f"] == f_doc
+    assert doc["g"] == {}
+
+
 def test_infoset_deterministic_and_rep_invariant(tmp_path, capsys):
     path = write(tmp_path, SPEC_37)
     _, a = run_cli(capsys, "infoset", path, "--machine-output")
@@ -475,6 +494,12 @@ def test_bad_input_exits_2(tmp_path, capsys):
     path = write(tmp_path, "q: 2\nr: [3, 7]\n")
     assert main(["infoset", path, "--order", "1,1"]) == EXIT_BAD_INPUT
     capsys.readouterr()
+    # 3 divides the length 15: there are no 3-cyclotomic cosets mod 15
+    for kind in ("orbits", "explicit"):
+        path = write(tmp_path, "q: 3\ncrt:\n  factors: [3, 5]\n"
+                               f"defining_set:\n  {kind}: [1]\n")
+        assert main(["infoset", path]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().out == ""
 
 
 def run_python(*args):

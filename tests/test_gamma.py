@@ -1,4 +1,4 @@
-"""Check-position construction: parameter tables, threshold tree, boxes.
+"""Check-position construction: parameter tables, f/g tables, boxes.
 
 Three fully worked two- and three-axis codes are frozen here with their
 m/f/g tables and exact position sets; the remaining tests are properties
@@ -54,7 +54,7 @@ def hand_wired_reps(amb, reps):
 
 
 def gamma_oracle(reps):
-    """Gamma from the m-table alone, with no threshold tree.
+    """Gamma from the m-table alone, with no f/g tables.
 
     In processed coordinates, with P_t the length-t prefixes of the reps:
     W_{n-1}(e) sums m(x) over the children x of e, W_{t-1}(e) sums m(x)
@@ -109,13 +109,9 @@ def test_tables_on_37():
     assert reps.m_table == {(0,): 1, (1,): 2, (0, 3): 3, (1, 1): 3, (1, 3): 3}
     assert reps.gamma((0, 3)) == 3
     assert reps.gamma((1, 1)) == 6
-    tree = compute_fg(reps)
-    assert tree.root.f == (6, 3)
-    assert tree.root.children == (2, 3)
-    assert tree.g([1]) == 2
-    assert tree.g([2]) == 3
-    assert list(tree.root.interval(1)) == [3, 4, 5]
-    assert list(tree.root.interval(2)) == [0, 1, 2]
+    fg = compute_fg(reps)
+    assert fg.f == {(): (6, 3)}
+    assert fg.g == {(1,): 2, (2,): 3}
 
 
 def test_gamma_on_37():
@@ -134,19 +130,9 @@ def test_tables_on_333():
     for prefix in [(0,), (0, 0), (1, 1), (0, 0, 0), (0, 1, 1), (1, 1, 0), (1, 1, 2)]:
         assert m[prefix] == 1
     assert len(m) == 9
-    tree = compute_fg(reps)
-    root = tree.root
-    assert root.f == (2, 1)
-    assert root.values == {(0, 0): 1, (0, 1): 1, (1, 1): 2}
-    assert root.children[0].f == (1,)
-    assert root.children[0].values == {(0,): 0, (1,): 1}
-    assert root.children[1].f == (3, 1)
-    assert root.children[1].values == {(0,): 3, (1,): 1}
-    assert root.children[0].children == (2,)
-    assert root.children[1].children == (1, 3)
-    assert tree.g([1, 1]) == 2
-    assert tree.g([2, 1]) == 1
-    assert tree.g([2, 2]) == 3
+    fg = compute_fg(reps)
+    assert fg.f == {(): (2, 1), (1,): (1,), (2,): (3, 1)}
+    assert fg.g == {(1, 1): 2, (2, 1): 1, (2, 2): 3}
 
 
 def test_gamma_on_333():
@@ -170,17 +156,17 @@ def test_tables_on_35_both_orderings():
     r1 = restricted_reps(D_35)
     assert sorted(r1.reps) == [(0, 0), (1, 0), (1, 2)]
     assert r1.m_table == {(0,): 1, (1,): 2, (0, 0): 1, (1, 0): 1, (1, 2): 2}
-    tr1 = compute_fg(r1)
-    assert tr1.root.f == (3, 1)
-    assert tr1.root.children == (2, 3)
+    fg1 = compute_fg(r1)
+    assert fg1.f == {(): (3, 1)}
+    assert fg1.g == {(1,): 2, (2,): 3}
 
     r2 = restricted_reps(D_35, ordering=(1, 0))
     assert sorted(r2.reps) == [(0, 0), (1, 0), (2, 1)]
     # processed layout: second axis first
     assert r2.m_table == {(0,): 1, (1,): 4, (0, 0): 1, (0, 1): 2, (1, 2): 1}
-    tr2 = compute_fg(r2)
-    assert tr2.root.f == (3, 1)
-    assert tr2.root.children == (1, 5)
+    fg2 = compute_fg(r2)
+    assert fg2.f == {(): (3, 1)}
+    assert fg2.g == {(1,): 1, (2,): 5}
 
 
 # ---------- the illegal-choice guard ----------
@@ -208,10 +194,10 @@ def test_forbidden_representatives_break_the_formulas():
     raw = hand_wired_reps(amb, sorted(forbidden))
     assert not check_restriction(raw)
     assert raw.m_table[(0, 0)] + raw.m_table[(0, 1)] + raw.m_table[(0, 2)] == 5
-    tree = compute_fg(raw)
-    level2 = tree.root.children[0]
-    assert level2.values[(0,)] == 5
-    assert level2.f[0] == 5 > amb.r[1]
+    # the single level-1 prefix (0,) carries the whole weight 5
+    f = compute_fg(raw).f
+    assert f[(1,)] == (5,)
+    assert f[(1,)][0] > amb.r[1]
 
 
 # ---------- properties over random codes ----------
@@ -232,27 +218,18 @@ def test_counting_identity_and_rep_invariance():
 
 
 def test_box_counts_add_up():
-    # the tree's own bookkeeping: sum of box volumes equals |D|
+    # the tables' own bookkeeping: sum of box volumes equals |D|
     rng = random.Random(22)
     for _ in range(40):
         amb = random_ambient(rng)
-        if amb.n == 1:
-            continue
         D = random_defining_set(rng, amb)
-        cs = build_gamma(D)
+        fg = build_gamma(D).fg
         total = 0
-
-        def walk(node, vol):
-            nonlocal total
-            for u in range(1, len(node.f) + 1):
-                width = len(node.interval(u))
-                child = node.children[u - 1]
-                if node.level == 2:
-                    total += child * width * vol
-                else:
-                    walk(child, width * vol)
-
-        walk(cs.tree.root, 1)
+        for path, count in fg.g.items():
+            for j, u in enumerate(path):
+                F = fg.f[path[:j]]
+                count *= F[u - 1] - (F[u] if u < len(F) else 0)
+            total += count
         assert total == len(D)
 
 
@@ -268,8 +245,8 @@ def test_single_axis_gamma_is_a_prefix():
         D = random_defining_set(rng, amb)
         cs = build_gamma(D)
         assert cs.positions == {(i,) for i in range(len(D))}
-        assert cs.tree.total == len(D)
-        assert cs.tree.root is None
+        assert cs.fg.f == {}
+        assert cs.fg.g == {(): len(D)}
 
 
 def test_empty_defining_set():
