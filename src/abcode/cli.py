@@ -115,6 +115,7 @@ def parse_spec(text: str) -> CodeSpec:
                       None if units is None else _int_list(units, "crt units"))
         if "l" in data and data["l"] != cmap.length:
             raise SpecError(f"l = {data['l']!r} but the factors multiply to {cmap.length}")
+        Ambient(q, cmap.factors)   # gcd(r_i, q) = 1 before residues are closed
         residues = _int_list(ds_block.get("explicit", ds_block.get("orbits", [])),
                              "defining_set residues")
         members = set()

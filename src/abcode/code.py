@@ -11,8 +11,10 @@ verification, encoding, decoding, distance work) is grounded.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -196,54 +198,109 @@ class DistanceResult:
 def _gray_min(rows, l, budget=None):
     """Minimum nonzero weight over all F_2 combinations of independent rows.
 
-    The low 20 rows are tabulated as numpy chunks; the remaining rows are
-    walked in Gray-code order so each step is one row XOR plus vector ops.
+    The low `split` rows (20, fewer under a budget) are tabulated as numpy
+    chunks of 2^split words lo; the other rows are walked in Gray-code
+    order, one row XOR per step word hi.  Let S be the columns where some
+    tabulated row and some walked row are both nonzero; on a systematic
+    generator S lies within the check columns.  Off S at most one side is
+    nonzero, so
+
+        wt(lo ^ hi) = wt(lo & ~S) + wt(hi & ~S) + wt((lo ^ hi) & S).
+
+    When more than one step runs and |S| < split, the table is screened:
+    with lo_S the S-bits of lo packed to |S| bits, dist[y] is the least
+    wt(lo & ~S) + wt(lo_S ^ y) over the table, for every y < 2^|S| (the
+    least wt(lo & ~S) per pattern, then a distance transform over the
+    |S|-cube).  The exact minimum of a step after the first is then
+    dist[hi_S] + wt(hi & ~S), one lookup.  Step 0 (hi = 0, zero word
+    excluded) and every step of an unscreened sweep scan the whole table.
+
+    The best weight drops on exactly the steps where a scan of every step
+    would drop it.  The witness is the first table entry of the first step
+    that reaches the minimum; if that step was screened, its table is
+    scanned once, after the walk.
+
     Under a budget b the table holds at most 2^floor(log2 b) combinations
     (at least 2), and no step runs that would take the evaluations past b;
-    with nothing evaluated the weight returned is the length l.
-    Returns (weight, witness int or None, evaluations, exact).
+    with nothing evaluated the weight returned is the length l.  The
+    evaluations count every combination the steps cover, 2^k for a whole
+    sweep.  Returns (weight, witness int or None, evaluations, exact).
     """
     k = len(rows)
     split = min(k, 20)
+    steps = 1 << (k - split)
     if budget is not None:
         split = min(split, max(1, budget.bit_length() - 1))
+        steps = max(0, min(1 << (k - split), budget >> split))
+    low, walk = rows[:split], rows[split:]
     nch = (l + 63) // 64
     mask64 = (1 << 64) - 1
+
+    def chunk(v, c):
+        return np.uint64((v >> (64 * c)) & mask64)
+
     tabs = []
     for c in range(nch):
         t = np.zeros(1, dtype=np.uint64)
-        for row in rows[:split]:
-            part = np.uint64((row >> (64 * c)) & mask64)
-            t = np.concatenate([t, t ^ part])
+        for row in low:
+            t = np.concatenate([t, t ^ chunk(row, c)])
         tabs.append(t)
-    best = l + 1
-    bw = None
-    evals = 0
-    hi = 0
-    steps = 1 << (k - split)
-    for step in range(steps):
-        if budget is not None and evals + (1 << split) > budget:
-            return (best if bw is not None else l), bw, evals, False
-        if step:
-            j = (step & -step).bit_length() - 1
-            hi ^= rows[split + j]
+
+    def scan(hi):
         acc = None
         for c in range(nch):
-            part = np.uint64((hi >> (64 * c)) & mask64)
-            w = np.bitwise_count(tabs[c] ^ part).astype(np.uint32)
+            w = np.bitwise_count(tabs[c] ^ chunk(hi, c)).astype(np.uint32)
             acc = w if acc is None else acc + w
         if hi == 0:
             acc[0] = l + 1
         i = int(np.argmin(acc))
-        wt = int(acc[i])
+        return int(acc[i]), i
+
+    shared = functools.reduce(operator.or_, low, 0) & functools.reduce(operator.or_, walk, 0)
+    dist = None
+    if steps > 1 and shared.bit_count() < split:
+        cols = [j for j in range(l) if shared >> j & 1]
+        rest = ((1 << l) - 1) & ~shared
+
+        def pack(v):
+            return sum(((v >> j) & 1) << b for b, j in enumerate(cols))
+
+        off = np.zeros(1 << split, dtype=np.int32)
+        for c in range(nch):
+            off += np.bitwise_count(tabs[c] & chunk(rest, c))
+        x = np.zeros(1, dtype=np.uint32)
+        for row in low:
+            x = np.concatenate([x, x ^ np.uint32(pack(row))])
+        # l + 1 marks a pattern no entry has; int32 holds it plus |S|
+        dist = np.full(1 << len(cols), l + 1, dtype=np.int32)
+        np.minimum.at(dist, x, off)
+        del off, x
+        for b in range(len(cols)):
+            v = dist.reshape(-1, 2, 1 << b)
+            np.minimum(v[:, 0], v[:, 1] + 1, out=v[:, 0])
+            np.minimum(v[:, 1], v[:, 0] + 1, out=v[:, 1])
+        packed = [pack(row) for row in walk]
+
+    best, best_hi, best_i = l + 1, None, None
+    hi = y = 0
+    for step in range(steps):
+        if step:
+            j = (step & -step).bit_length() - 1
+            hi ^= walk[j]
+        if step and dist is not None:
+            y ^= packed[j]
+            wt, i = int(dist[y]) + (hi & rest).bit_count(), None
+        else:
+            wt, i = scan(hi)
         if wt < best:
-            best = wt
-            low = 0
-            for c in range(nch):
-                low |= int(tabs[c][i]) << (64 * c)
-            bw = low ^ hi
-        evals += 1 << split
-    return best, bw, evals, True
+            best, best_hi, best_i = wt, hi, i
+    evals = steps << split
+    if best_hi is None:
+        return l, None, evals, False
+    if best_i is None:
+        best_i = scan(best_hi)[1]
+    lo = sum(int(tabs[c][best_i]) << (64 * c) for c in range(nch))
+    return best, lo ^ best_hi, evals, evals == 1 << k
 
 
 def _enum_weight_min_bits(rows, w, best):

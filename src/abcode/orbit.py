@@ -87,7 +87,7 @@ def coset(a: int, r: int, q: int, power: int = 1) -> tuple:
     if r < 1:
         raise ValueError("modulus must be positive")
     if math.gcd(r, q) != 1:
-        raise ValueError("gcd(r, q) must be 1")
+        raise ValueError(f"gcd(r, q) must be 1, got r={r}, q={q}")
     step = pow(q, power, r) if r > 1 else 0
     a %= r
     out = {a}

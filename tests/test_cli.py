@@ -494,12 +494,15 @@ def test_bad_input_exits_2(tmp_path, capsys):
     path = write(tmp_path, "q: 2\nr: [3, 7]\n")
     assert main(["infoset", path, "--order", "1,1"]) == EXIT_BAD_INPUT
     capsys.readouterr()
-    # 3 divides the length 15: there are no 3-cyclotomic cosets mod 15
+    # 3 divides the length 15: there are no 3-cyclotomic cosets mod 15,
+    # and the factor is named before any residue is closed
     for kind in ("orbits", "explicit"):
         path = write(tmp_path, "q: 3\ncrt:\n  factors: [3, 5]\n"
                                f"defining_set:\n  {kind}: [1]\n")
         assert main(["infoset", path]) == EXIT_BAD_INPUT
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gcd(r_i, q) must be 1, got r_i=3, q=3\n"
 
 
 def run_python(*args):

@@ -579,6 +579,130 @@ def test_budget_bracket_is_sound(name, method, d, budget):
         assert res.evaluations <= max(budget, 2)
 
 
+def gray_min_direct(rows, l, budget=None):
+    """The Gray sweep that scans the whole table on every step."""
+    k = len(rows)
+    split = min(k, 20)
+    if budget is not None:
+        split = min(split, max(1, budget.bit_length() - 1))
+    nch = (l + 63) // 64
+    mask64 = (1 << 64) - 1
+    tabs = []
+    for c in range(nch):
+        t = np.zeros(1, dtype=np.uint64)
+        for row in rows[:split]:
+            t = np.concatenate([t, t ^ np.uint64((row >> (64 * c)) & mask64)])
+        tabs.append(t)
+    best, bw, evals, hi = l + 1, None, 0, 0
+    for step in range(1 << (k - split)):
+        if budget is not None and evals + (1 << split) > budget:
+            return (best if bw is not None else l), bw, evals, False
+        if step:
+            hi ^= rows[split + (step & -step).bit_length() - 1]
+        acc = sum(np.bitwise_count(tabs[c] ^ np.uint64((hi >> (64 * c)) & mask64))
+                  .astype(np.uint32) for c in range(nch))
+        if hi == 0:
+            acc[0] = l + 1
+        i = int(np.argmin(acc))
+        if acc[i] < best:
+            best = int(acc[i])
+            bw = hi ^ sum(int(tabs[c][i]) << (64 * c) for c in range(nch))
+        evals += 1 << split
+    return best, bw, evals, True
+
+
+def shared_columns(rows, split=20):
+    """Mask of the columns where a tabulated and a walked row both have a 1."""
+    low = high = 0
+    for row in rows[:split]:
+        low |= row
+    for row in rows[split:]:
+        high |= row
+    return low & high
+
+
+def recombined(rows, rng):
+    """The rows times a random invertible matrix, as row additions."""
+    rows = list(rows)
+    for _ in range(8 * len(rows)):
+        i, j = rng.sample(range(len(rows)), 2)
+        rows[i] ^= rows[j]
+    return rows
+
+
+GRAY_BUDGETS = BUDGETS + ((1 << 21) - 1, 1 << 21, (1 << 21) + 1, None)
+
+
+@pytest.fixture(scope="module")
+def gray_cases():
+    """Random binary abelian codes with k = 21, 22, 23, 24 whose generator
+    rows share fewer than 20 columns, so the sweep screens them, each with a
+    recombination of the rows that shares 20 or more, so it does not."""
+    rng = random.Random(13)
+    cases = []
+    for k, r in zip(range(21, 25), ((33,), (35,), (7, 5), (3, 13))):
+        amb = Ambient(2, r)
+        orbs = orbits(amb)
+        for _ in range(200):
+            code = AbelianCode(DefiningSet(amb, frozenset(
+                t for orb in orbs if rng.random() < 0.5 for t in orb)))
+            if code.dimension != k:
+                continue
+            rows = generator_matrix(code).row_ints()
+            mixed = recombined(rows, rng)
+            if shared_columns(rows).bit_count() < 20 <= shared_columns(mixed).bit_count():
+                cases.append((code, rows, mixed))
+                break
+    assert len(cases) == 4
+    return cases
+
+
+def test_gray_screen_matches_direct_scan(gray_cases):
+    for code, rows, mixed in gray_cases:
+        l = code.length
+        for budget in GRAY_BUDGETS:
+            for r in (rows, mixed):
+                want = gray_min_direct(r, l, budget)
+                assert abcode.code._gray_min(r, l, budget) == want
+        assert gray_min_direct(rows, l)[0] == min_distance(code, method="bz").value
+
+
+def test_gray_screen_past_64_columns():
+    # random systematic codes: row i has a 1 in column i and 18 random bits
+    # in columns 50..67, across bit 64.  Their minimum often falls on a
+    # walked step, on a word that needs a nonzero table entry, where only
+    # the screen sees it
+    rng = random.Random(5)
+    on_the_screen = 0
+    for k in (21, 22, 23, 24, 24, 24):
+        rows = [1 << i | rng.getrandbits(18) << 50 for i in range(k)]
+        shared = shared_columns(rows)
+        assert shared.bit_count() < 20 and shared >> 64
+        for budget in GRAY_BUDGETS:
+            got = abcode.code._gray_min(rows, 68, budget)
+            assert got == gray_min_direct(rows, 68, budget)
+        # only row i has a 1 in column i: bits 0..19 of the witness name its
+        # table rows, bits 20.. its walked rows
+        on_the_screen += bool(got[1] & 0xFFFFF and got[1] >> 20 & 0xF)
+    assert on_the_screen >= 2
+
+
+def test_gray_screen_with_patterns_no_entry_has(gray_cases):
+    # each code written twice, the copy 60 columns on: every shared column
+    # has a twin, so most patterns of S bits occur in no table entry
+    screened = 0
+    for code, rows, _ in gray_cases:
+        l = code.length + 60
+        rows = [row | row << 60 for row in rows]
+        shared = shared_columns(rows)
+        screened += shared.bit_count() < 20
+        for budget in GRAY_BUDGETS:
+            got = abcode.code._gray_min(rows, l, budget)
+            assert got == gray_min_direct(rows, l, budget)
+        assert got[0] == 2 * min_distance(code, method="bz").value
+    assert screened >= 2
+
+
 def test_translate_bound_moves_the_bracket():
     # nothing enumerated: every nonzero word meets each of the 11 translates
     # of the 6-point information set, so 6 d >= 11 and d >= 2

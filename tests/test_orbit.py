@@ -111,7 +111,7 @@ def test_coset_matches_naive(q):
 
 
 def test_coset_requires_coprime():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gcd\(r, q\) must be 1, got r=4, q=2$"):
         coset(1, 4, 2)
     with pytest.raises(ValueError):
         coset(0, 0, 2)
