@@ -20,18 +20,24 @@ import yaml
 from .code import (AbelianCode, min_distance, standard_form_parity,
                    verify_check_positions)
 from .crt import CrtMap
-from .gamma import build_gamma
+from .gamma import CheckSet, build_gamma
 from .orbit import (Ambient, DefiningSet, coset, from_orbit_reps,
                     normalize_ordering, orbits, validate_defining_set)
-from .permdec import (PDSet, SearchConstraints, design_report, design_search,
-                      enumerate_lambda, is_pd_set, permutation_decode,
-                      translation_subgroup)
+from .permdec import (PD_SUBSET_BUDGET, SEARCH_BUDGET, PDSet, SearchConstraints,
+                      design_report, design_search, enumerate_lambda, is_pd_set,
+                      permutation_decode, translation_subgroup)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 DEFAULT_SEED = 0
+
+# --group name -> its group table.  Each entry looks the permdec function
+# up when called, so a wrapper installed later on the module attribute (the
+# traced benchmark installs one) still sees the call.
+GROUPS = {"lambda": lambda amb: enumerate_lambda(amb),
+          "translations": lambda amb: translation_subgroup(amb)}
 
 
 class SpecError(ValueError):
@@ -40,10 +46,8 @@ class SpecError(ValueError):
 
 @dataclass
 class CodeSpec:
-    """Parsed description: ambient, defining set, optional extras."""
+    """Parsed description: defining set (and with it the ambient), extras."""
 
-    q: int
-    r: tuple
     defining: DefiningSet
     ordering: Optional[tuple] = None  # 0-based axis permutation
     crt_map: Optional[CrtMap] = None
@@ -98,54 +102,43 @@ def parse_spec(text: str) -> CodeSpec:
     ds_block = data.get("defining_set") or {}
     if not isinstance(ds_block, dict):
         raise SpecError("defining_set must be a mapping with orbits or explicit")
-
+    if "orbits" in ds_block and "explicit" in ds_block:
+        raise SpecError("defining_set takes orbits or explicit, not both")
+    kind = "orbits" if "orbits" in ds_block else "explicit"
+    entries = ds_block.get(kind, [])
+    if not isinstance(entries, list):
+        raise SpecError(f"defining_set {kind} must be a list, not {entries!r}")
     ordering = None
     if data.get("ordering") is not None:
-        axes = data["ordering"]
-        if not isinstance(axes, (list, tuple)):
-            raise SpecError("ordering must be a list of 1-based axis numbers")
-        ordering = tuple(int(a) - 1 for a in axes)
+        ordering = tuple(a - 1 for a in _int_list(data["ordering"], "ordering"))
 
-    if "crt" in data and data["crt"] is not None:
+    cmap = cyclic = None
+    if data.get("crt") is not None:
         block = data["crt"]
         if not isinstance(block, dict) or "factors" not in block:
             raise SpecError("crt block needs a factors list")
         units = block.get("units")
         cmap = CrtMap(_int_list(block["factors"], "crt factors"),
                       None if units is None else _int_list(units, "crt units"))
-        if "l" in data and data["l"] != cmap.length:
-            raise SpecError(f"l = {data['l']!r} but the factors multiply to {cmap.length}")
-        Ambient(q, cmap.factors)   # gcd(r_i, q) = 1 before residues are closed
-        residues = _int_list(ds_block.get("explicit", ds_block.get("orbits", [])),
-                             "defining_set residues")
-        members = set()
         l = cmap.length
-        for entry in residues:
-            if "orbits" in ds_block:
-                members.update(coset(entry, l, q))
-            else:
-                members.add(entry % l)
+        if "l" in data and data["l"] != l:
+            raise SpecError(f"l = {data['l']!r} but the factors multiply to {l}")
+        Ambient(q, cmap.factors)   # gcd(r_i, q) = 1 before residues are closed
+        members = set()
+        for a in _int_list(entries, "defining_set residues"):
+            members.update(coset(a, l, q) if kind == "orbits" else (a % l,))
         defining = cmap.transport_defining_set(q, members)
-        return CodeSpec(q, cmap.factors, defining, ordering, cmap,
-                        tuple(sorted(members)))
-
-    if "r" not in data:
-        raise SpecError("missing field: r (or a crt block)")
-    r = _int_list(data["r"], "r")
-    amb = Ambient(q, r)
-    kind = next((k for k in ("orbits", "explicit") if k in ds_block), None)
-    if kind is None:
-        defining = DefiningSet(amb, frozenset())
-    else:
-        entries = ds_block[kind]
-        if not isinstance(entries, list):
-            raise SpecError(f"defining_set {kind} must be a list, not {entries!r}")
+        cyclic = tuple(sorted(members))
+    elif "r" in data:
+        amb = Ambient(q, _int_list(data["r"], "r"))
         indices = [_parse_index(e, amb.n) for e in entries]
         defining = (from_orbit_reps(amb, indices) if kind == "orbits"
-                    else validate_defining_set(amb, set(indices)))
+                    else validate_defining_set(amb, indices))
+    else:
+        raise SpecError("missing field: r (or a crt block)")
     if ordering is not None:
-        normalize_ordering(amb.n, ordering)
-    return CodeSpec(q, r, defining, ordering)
+        normalize_ordering(defining.ambient.n, ordering)
+    return CodeSpec(defining, ordering, cmap, cyclic)
 
 
 def load_spec(path: str) -> CodeSpec:
@@ -161,13 +154,13 @@ def _fmt_index(t) -> str:
 
 def dump_spec(spec: CodeSpec) -> str:
     """Normalized YAML form; parsing it back gives an equivalent CodeSpec."""
-    doc = {"q": spec.q, "r": list(spec.r)}
+    doc = {"q": spec.ambient.q}
     if spec.crt_map is not None:
         doc["crt"] = {"factors": list(spec.crt_map.factors),
                       "units": list(spec.crt_map.units)}
         doc["defining_set"] = {"explicit": list(spec.cyclic_members)}
-        doc.pop("r")
     else:
+        doc["r"] = list(spec.ambient.r)
         doc["defining_set"] = {
             "explicit": [_fmt_index(t) for t in spec.defining.sorted_members()]}
     if spec.ordering is not None:
@@ -184,11 +177,13 @@ def _emit(args, human_lines, machine_doc) -> None:
             print(line)
 
 
-def _apply_order_flag(spec: CodeSpec, args) -> Optional[tuple]:
-    if getattr(args, "order", None):
-        axes = [int(a) - 1 for a in args.order.split(",")]
-        return tuple(normalize_ordering(spec.ambient.n, tuple(axes)))
-    return spec.ordering
+def _check_set(spec: CodeSpec, args) -> CheckSet:
+    """Gamma under --order (else the spec's ordering) and --random-reps --seed."""
+    ordering = spec.ordering
+    if args.order:
+        ordering = [int(a) - 1 for a in args.order.split(",")]
+    rng = random.Random(args.seed) if getattr(args, "random_reps", False) else None
+    return build_gamma(spec.defining, ordering=ordering, rng=rng)
 
 
 # ---------- subcommands ----------
@@ -221,20 +216,16 @@ def _label(name: str, path) -> str:
     return name if not path else f"{name}[{','.join(str(u) for u in path)}]"
 
 
-def _reps_rng(args):
-    """The --random-reps generator, seeded with --seed, or None."""
-    return random.Random(args.seed) if getattr(args, "random_reps", False) else None
-
-
 def cmd_infoset(spec: CodeSpec, args) -> int:
-    ordering = _apply_order_flag(spec, args)
-    cs = build_gamma(spec.defining, ordering=ordering, rng=_reps_rng(args))
+    amb = spec.ambient
+    cs = _check_set(spec, args)
     info = sorted(cs.complement())
     check = cs.sorted_positions()
-    k = spec.ambient.length - len(check)
-    lines = [f"ambient: q={spec.q} r={_fmt_index(spec.r)}",
+    k = amb.length - len(check)
+    axes = [a + 1 for a in cs.ordering]
+    lines = [f"ambient: q={amb.q} r={_fmt_index(amb.r)}",
              f"defining set size: {len(spec.defining)}",
-             f"ordering: {','.join(str(a + 1) for a in (ordering or range(spec.ambient.n)))}",
+             f"ordering: {_fmt_index(axes)}",
              _row("representatives:", " ".join(_fmt_index(t) for t in cs.reps.reps))]
     m_items = sorted(cs.reps.m_table.items())
     for prefix, mv in m_items:
@@ -250,8 +241,8 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
     lines.append(_row(f"information positions ({len(info)}):",
                       " ".join(_fmt_index(t) for t in info)))
     lines.append(f"dimension: {k}")
-    doc = {"q": spec.q, "r": list(spec.r),
-           "ordering": [a + 1 for a in (ordering or range(spec.ambient.n))],
+    doc = {"q": amb.q, "r": list(amb.r),
+           "ordering": axes,
            "representatives": [_fmt_index(t) for t in cs.reps.reps],
            "m": {_fmt_index(p): v for p, v in m_items},
            "f": {_label("f", p): v for p, v in cs.fg.f.items()},
@@ -274,8 +265,7 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
 
 
 def cmd_verify(spec: CodeSpec, args) -> int:
-    ordering = _apply_order_flag(spec, args)
-    cs = build_gamma(spec.defining, ordering=ordering, rng=_reps_rng(args))
+    cs = _check_set(spec, args)
     code = AbelianCode(spec.defining)
     res = verify_check_positions(code, cs)
     lines = [f"check positions: {len(cs.positions)}",
@@ -307,20 +297,11 @@ def cmd_mindist(spec: CodeSpec, args) -> int:
     return EXIT_OK
 
 
-def _group_elements(amb: Ambient, name: str):
-    if name == "lambda":
-        return enumerate_lambda(amb)
-    if name == "translations":
-        return translation_subgroup(amb)
-    raise SpecError(f"unknown group {name!r}")
-
-
 def cmd_pdset(spec: CodeSpec, args) -> int:
-    ordering = _apply_order_flag(spec, args)
-    cs = build_gamma(spec.defining, ordering=ordering)
-    elements = _group_elements(spec.ambient, args.group)
+    cs = _check_set(spec, args)
+    elements = GROUPS[args.group](spec.ambient)
     res = is_pd_set(spec.ambient, elements, cs.complement(), args.errors,
-                    budget=args.budget or 2_000_000)
+                    budget=args.budget)
     lines = [f"group: {args.group} ({len(elements)} elements)",
              f"errors: {args.errors}",
              f"verdict: {'pass' if res.ok else 'fail'}"]
@@ -335,21 +316,20 @@ def cmd_pdset(spec: CodeSpec, args) -> int:
 
 
 def cmd_decode(spec: CodeSpec, args) -> int:
-    ordering = _apply_order_flag(spec, args)
-    cs = build_gamma(spec.defining, ordering=ordering)
+    cs = _check_set(spec, args)
     code = AbelianCode(spec.defining)
-    l = code.length
+    l, q = code.length, code.ambient.q
     try:
         entries = [int(x) for x in args.word.split(",")]
     except ValueError:
         raise SpecError("word must be comma-separated integers")
     if len(entries) != l:
         raise SpecError(f"word length {len(entries)}, ambient length {l}")
-    if not all(0 <= x < spec.q for x in entries):
-        raise SpecError(f"word entries must lie in 0..{spec.q - 1}")
+    if not all(0 <= x < q for x in entries):
+        raise SpecError(f"word entries must lie in 0..{q - 1}")
     word = np.array(entries, dtype=code.scalars.dtype)
     H_std, _ = standard_form_parity(code, cs)
-    elements = _group_elements(spec.ambient, args.group)
+    elements = GROUPS[args.group](spec.ambient)
     pd = PDSet(elements, args.errors, frozenset(cs.complement()))
     decoded = permutation_decode(code, H_std, pd, word, args.errors)
     if decoded is None:
@@ -368,8 +348,7 @@ def cmd_search(spec: CodeSpec, args) -> int:
     amb = spec.ambient
     cons = SearchConstraints(dim_exact=args.dim_exact, dim_min=args.dim_min,
                              d_min=args.min_distance, pd_s=args.pd_errors,
-                             pd_mode=args.pd_mode,
-                             budget=args.budget or (1 << 20))
+                             pd_mode=args.pd_mode, budget=args.budget)
     hits = design_search(amb, cons)
     lines = design_report(amb, hits).splitlines()
     doc = {"q": amb.q, "r": list(amb.r), "hits": [
@@ -430,9 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--errors", type=int, required=True,
                    help="number of errors the set must serve")
-    p.add_argument("--group", default="lambda",
-                   choices=["lambda", "translations"])
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--group", default="lambda", choices=GROUPS)
+    p.add_argument("--budget", type=int, default=PD_SUBSET_BUDGET,
+                   help=f"cap on the C(l, errors) error patterns walked "
+                        f"(default {PD_SUBSET_BUDGET})")
     p.set_defaults(func=cmd_pdset)
 
     p = sub.add_parser("decode", help="permutation-decode a received word")
@@ -440,8 +420,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--word", required=True,
                    help="received word, comma-separated, length = ambient size")
     p.add_argument("--errors", type=int, required=True)
-    p.add_argument("--group", default="lambda",
-                   choices=["lambda", "translations"])
+    p.add_argument("--group", default="lambda", choices=GROUPS)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("search", help="enumerate orbit-union codes")
@@ -452,7 +431,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pd-errors", type=int, default=None)
     p.add_argument("--pd-mode", default="exhaustive",
                    choices=["exhaustive", "lemma13", "lemma15"])
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=SEARCH_BUDGET,
+                   help=f"cap on the orbit unions (default {SEARCH_BUDGET})")
     p.set_defaults(func=cmd_search)
 
     return top

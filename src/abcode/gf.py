@@ -239,31 +239,22 @@ class FieldContext:
     def eta(self):
         """Canonical generator of the base field F_q inside this context."""
         if self._eta is None:
-            self._eta = self.pow(self.generator_rep, self.N // (self.q - 1)) \
-                if self.q > 2 else self.one
+            self._eta = root_of_unity(self, self.q - 1)
         return self._eta
-
-    def subfield_generator(self, d: int):
-        """Generator of F_{q^d}^* obtained as a power of the field generator."""
-        if self.M % d != 0:
-            raise FieldError(f"d = {d} does not divide M = {self.M}")
-        sub_order = self.q**d - 1
-        if sub_order == 0:
-            return self.one
-        return self.pow(self.generator_rep, self.N // sub_order)
 
     def _solver(self, d: int):
         """Cached F_p-linear solver for coordinates of F_{q^d} over F_q.
 
-        Column t*s + u of B holds the digits of g_d^t * eta^u.  Row reducing
-        [B | I] over F_p leaves a left inverse of B in the first d*s rows and,
-        below them, the checks that vanish exactly on the span of B.
+        Column t*s + u of B holds the digits of g_d^t * eta^u, where g_d is
+        the root of unity of order q^d - 1, which generates F_{q^d}^*.  Row
+        reducing [B | I] over F_p leaves a left inverse of B in the first d*s
+        rows and, below them, the checks that vanish exactly on the span of B.
         """
         if d not in self._solvers:
             prime = ScalarField(build_context(self.p, 1, 1))
             ncols = d * self.s
             eta = self.mul_matrix(self.eta())
-            blocks = [self.powers(self.subfield_generator(d), d)]
+            blocks = [self.powers(root_of_unity(self, self.q**d - 1), d)]
             for _ in range(self.s - 1):
                 blocks.append(blocks[-1] @ eta % self.p)
             B = np.stack(blocks, axis=1).reshape(ncols, self.deg).T
@@ -506,8 +497,6 @@ class MatrixGF:
     def __init__(self, scalars: ScalarField, data):
         self.field = scalars
         self.data = np.array(data, dtype=scalars.dtype, copy=True)
-        if self.data.ndim != 2:
-            self.data = self.data.reshape(1, -1)
 
     @property
     def shape(self):

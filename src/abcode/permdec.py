@@ -23,7 +23,8 @@ from .code import AbelianCode, MatrixGF, distance_at_least
 from .gamma import CheckSet, build_gamma
 from .orbit import Ambient, DefiningSet, frobenius_order, orbits
 
-_PD_SUBSET_BUDGET = 2_000_000
+PD_SUBSET_BUDGET = 2_000_000   # s-subsets is_pd_set may walk
+SEARCH_BUDGET = 1 << 20        # orbit unions design_search may enumerate
 
 # bench/spans.py looks up this former class to count calls of its
 # as_permutation; a group element is now a row of a group table.
@@ -111,7 +112,7 @@ class PDResult:
 
 
 def is_pd_set(amb: Ambient, elements, info_set, s: int,
-              budget: int = _PD_SUBSET_BUDGET) -> PDResult:
+              budget: int = PD_SUBSET_BUDGET) -> PDResult:
     """Exhaustive Definition-style check over all s-subsets of positions.
 
     elements is a (|G|, l) group table.  A subset S is served when some
@@ -233,7 +234,7 @@ class SearchConstraints:
     d_min: Optional[int] = None
     pd_s: Optional[int] = None
     pd_mode: str = "exhaustive"  # or "lemma13" / "lemma15"
-    budget: int = 1 << 20
+    budget: int = SEARCH_BUDGET
 
 
 @dataclass
@@ -258,9 +259,18 @@ def design_search(amb: Ambient, constraints: SearchConstraints):
     orbs = orbits(amb)
     if 2 ** len(orbs) > constraints.budget:
         raise ValueError(f"2^{len(orbs)} orbit unions exceed the search budget")
-    lam = None
-    if constraints.pd_s is not None and constraints.pd_mode == "exhaustive":
+    s = constraints.pd_s
+    if s is None:
+        pd_check = None
+    elif constraints.pd_mode == "exhaustive":
         lam = enumerate_lambda(amb)
+        pd_check = lambda code, cs: bool(is_pd_set(amb, lam, cs.complement(), s))
+    elif constraints.pd_mode == "lemma13":
+        pd_check = lemma13_check
+    elif constraints.pd_mode == "lemma15":
+        pd_check = lemma15_check
+    else:
+        raise ValueError(f"unknown pd_mode {constraints.pd_mode!r}")
     hits = []
     l = amb.length
     for pick in itertools.product((False, True), repeat=len(orbs)):
@@ -283,16 +293,8 @@ def design_search(amb: Ambient, constraints: SearchConstraints):
             d_passed = constraints.d_min
         cs = build_gamma(ds)
         pd_ok = None
-        if constraints.pd_s is not None:
-            if constraints.pd_mode == "exhaustive":
-                pd_ok = bool(is_pd_set(amb, lam, cs.complement(),
-                                       constraints.pd_s))
-            elif constraints.pd_mode == "lemma13":
-                pd_ok = lemma13_check(code, cs)
-            elif constraints.pd_mode == "lemma15":
-                pd_ok = lemma15_check(code, cs)
-            else:
-                raise ValueError(f"unknown pd_mode {constraints.pd_mode!r}")
+        if pd_check is not None:
+            pd_ok = pd_check(code, cs)
             if not pd_ok:
                 continue
         hits.append(SearchHit(ds, k, cs, d_passed, pd_ok))

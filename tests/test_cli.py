@@ -105,13 +105,13 @@ def run_cli(capsys, *argv):
 
 def test_parse_spec_variants():
     spec = parse_spec(SPEC_37)
-    assert spec.q == 2 and spec.r == (3, 7)
+    assert spec.ambient.q == 2 and spec.ambient.r == (3, 7)
     assert len(spec.defining) == 15
     spec = parse_spec(SPEC_333)
     assert len(spec.defining) == 7
     spec = parse_spec(SPEC_CRT)
     assert spec.crt_map is not None
-    assert spec.r == (3, 5)
+    assert spec.ambient.r == (3, 5)
     assert len(spec.defining) == 9
     assert spec.cyclic_members == (0, 1, 2, 3, 4, 6, 8, 9, 12)
 
@@ -142,6 +142,7 @@ def test_parse_spec_rejects_bad_documents():
     "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: 3\n",   # explicit not a list
     "q: 2\nr: [3, 7]\ndefining_set:\n  orbits: [[0, [3]]]\n",  # nested index
     "q: 2\ncrt:\n  factors: [3, 5]\ndefining_set:\n  explicit: [[1]]\n",  # residue
+    "q: 2\nr: [3, 7]\nordering: [[1], 2]\n",           # nested axis number
 ])
 def test_malformed_spec_exits_2(tmp_path, capsys, text):
     from abcode.cli import SpecError
@@ -156,8 +157,8 @@ def test_malformed_spec_exits_2(tmp_path, capsys, text):
 def test_spec_roundtrip_plain():
     spec = parse_spec(SPEC_35)
     again = parse_spec(dump_spec(spec))
-    assert again.q == spec.q
-    assert again.r == spec.r
+    assert again.ambient.q == spec.ambient.q
+    assert again.ambient.r == spec.ambient.r
     assert again.defining.members == spec.defining.members
     assert again.ordering == spec.ordering
 
@@ -165,8 +166,8 @@ def test_spec_roundtrip_plain():
 def test_spec_roundtrip_crt():
     spec = parse_spec(SPEC_CRT)
     again = parse_spec(dump_spec(spec))
-    assert again.q == spec.q
-    assert again.r == spec.r
+    assert again.ambient.q == spec.ambient.q
+    assert again.ambient.r == spec.ambient.r
     assert again.crt_map == spec.crt_map
     assert again.defining.members == spec.defining.members
     assert again.cyclic_members == spec.cyclic_members
@@ -503,6 +504,48 @@ def test_bad_input_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gcd(r_i, q) must be 1, got r_i=3, q=3\n"
+    # each block is read once, whatever the ambient: both defining-set
+    # kinds at once are refused, and a crt spec's ordering is checked too
+    both = "defining_set:\n  orbits: [3]\n  explicit: [1, 2, 4, 8]\n"
+    bad_specs = [("q: 2\nr: [15]\n" + both, "infoset", "not both"),
+                 ("q: 2\ncrt:\n  factors: [3, 5]\n" + both, "infoset", "not both"),
+                 ("q: 2\ncrt:\n  factors: [3, 5]\nordering: [1, 1]\n", "orbits",
+                  "ordering (0, 0) is not a permutation of 0..1")]
+    for text, sub, message in bad_specs:
+        assert main([sub, write(tmp_path, text)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+    # --budget reaches the library as given, 0 included
+    for argv, message in [
+            (["pdset", write(tmp_path, SPEC_37, "c37.yaml"), "--errors", "2", "--budget", "0"],
+             "error: C(21, 2) exceeds the subset budget 0\n"),
+            (["search", write(tmp_path, SPEC_HAMMING, "h7.yaml"), "--budget", "0"],
+             "error: 2^3 orbit unions exceed the search budget\n")]:
+        assert main(argv) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
+
+def test_one_defining_set_kind_closes_crt_residues():
+    # orbits closes each residue under doubling mod 15, explicit takes it as is
+    for kind, members in (("orbits", (3, 6, 9, 12)), ("explicit", (1, 2, 4, 8))):
+        entries = "[3]" if kind == "orbits" else "[1, 2, 4, 8]"
+        crt = parse_spec(f"q: 2\ncrt:\n  factors: [3, 5]\n"
+                         f"defining_set:\n  {kind}: {entries}\n")
+        plain = parse_spec(f"q: 2\nr: [15]\ndefining_set:\n  {kind}: {entries}\n")
+        assert crt.cyclic_members == members
+        assert sorted(t for (t,) in plain.defining.members) == list(members)
+
+
+def test_budget_defaults_are_the_library_defaults():
+    from abcode.cli import _build_parser
+    from abcode.permdec import PD_SUBSET_BUDGET, SEARCH_BUDGET, SearchConstraints
+    parser = _build_parser()
+    assert parser.parse_args(["pdset", "x", "--errors", "1"]).budget == PD_SUBSET_BUDGET
+    assert parser.parse_args(["search", "x"]).budget == SEARCH_BUDGET
+    assert SearchConstraints().budget == SEARCH_BUDGET
 
 
 def run_python(*args):

@@ -101,7 +101,7 @@ def naive_check_tensor(code, basis_shift=0):
     for rep in code.reps.reps:
         d = len(qorbit(amb, rep))
         gens = [ctx.pow(root, e) for root, e in zip(naive_roots(code), rep)]
-        shift = ctx.pow(ctx.subfield_generator(d), (-basis_shift) % (amb.q**d - 1))
+        shift = ctx.pow(root_of_unity(ctx, amb.q**d - 1), (-basis_shift) % (amb.q**d - 1))
         for j, pos in enumerate(amb.positions()):
             x = shift
             for g, t in zip(gens, pos):

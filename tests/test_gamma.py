@@ -11,9 +11,10 @@ import math
 import random
 
 from abcode.gamma import build_gamma, compute_fg
-from abcode.orbit import (Ambient, DefiningSet, RestrictedReps, check_restriction,
-                          coset, orbits, qorbit, restricted_reps, unpermute,
-                          validate_defining_set)
+from abcode.orbit import (Ambient, DefiningSet, check_restriction, qorbit,
+                          restricted_reps, unpermute, validate_defining_set)
+
+from orbit_fixtures import hand_wired_reps, random_ambient, random_defining_set
 
 # ---------- frozen two-axis code on (3, 7) ----------
 
@@ -42,17 +43,6 @@ GAMMA_35_AXIS1_FIRST = {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, 2)}
 GAMMA_35_AXIS2_FIRST = {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3), (0, 4)}
 
 
-def hand_wired_reps(amb, reps):
-    """RestrictedReps on hand-picked reps (axis order kept), m from coset sizes."""
-    m = {}
-    for t in reps:
-        gamma = 1
-        for i in range(1, len(t) + 1):
-            m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
-            gamma *= m[t[:i]]
-    return RestrictedReps(amb, tuple(range(amb.n)), tuple(reps), m)
-
-
 def gamma_oracle(reps):
     """Gamma from the m-table alone, with no f/g tables.
 
@@ -77,27 +67,6 @@ def gamma_oracle(reps):
     return {unpermute(i, reps.ordering)
             for i in itertools.product(*map(range, reps.processed_moduli()))
             if i[0] < weight((), i)}
-
-
-def random_ambient(rng, qs=(2, 3, 5), max_len=60):
-    q = rng.choice(qs)
-    n = rng.randint(1, 3)
-    moduli = []
-    for _ in range(n):
-        while True:
-            ri = rng.randint(1, 15)
-            if math.gcd(ri, q) == 1 and math.prod(moduli) * ri <= max_len:
-                moduli.append(ri)
-                break
-    return Ambient(q, tuple(moduli))
-
-
-def random_defining_set(rng, amb):
-    orbs = orbits(amb)
-    picked = [o for o in orbs if rng.random() < 0.5]
-    if not picked:
-        picked = [rng.choice(orbs)]
-    return DefiningSet(amb, frozenset(m for o in picked for m in o))
 
 
 # ---------- frozen tables ----------

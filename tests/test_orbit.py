@@ -11,10 +11,12 @@ import random
 
 import pytest
 
-from abcode.orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,
-                          check_restriction, coset, from_orbit_reps,
-                          normalize_ordering, orbits, permute, qorbit,
-                          restricted_reps, unpermute, validate_defining_set)
+from abcode.orbit import (Ambient, NotOrbitClosed, check_restriction, coset,
+                          from_orbit_reps, normalize_ordering, orbits, permute,
+                          qorbit, restricted_reps, unpermute,
+                          validate_defining_set)
+
+from orbit_fixtures import hand_wired_reps, random_ambient, random_defining_set
 
 # ---------- oracles ----------
 
@@ -34,38 +36,6 @@ def orbit_naive(q, moduli, t):
         out.add(cur)
         cur = tuple((v * q) % m for v, m in zip(cur, moduli))
     return tuple(sorted(out))
-
-
-def hand_wired_reps(amb, reps):
-    """RestrictedReps on hand-picked reps (axis order kept), m from coset sizes."""
-    m = {}
-    for t in reps:
-        gamma = 1
-        for i in range(1, len(t) + 1):
-            m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
-            gamma *= m[t[:i]]
-    return RestrictedReps(amb, tuple(range(amb.n)), tuple(reps), m)
-
-
-def random_ambient(rng, qs=(2, 3, 5), max_len=60):
-    q = rng.choice(qs)
-    n = rng.randint(1, 3)
-    moduli = []
-    for _ in range(n):
-        while True:
-            ri = rng.randint(1, 15)
-            if math.gcd(ri, q) == 1 and math.prod(moduli) * ri <= max_len:
-                moduli.append(ri)
-                break
-    return Ambient(q, tuple(moduli))
-
-
-def random_defining_set(rng, amb):
-    orbs = orbits(amb)
-    picked = [o for o in orbs if rng.random() < 0.5]
-    if not picked:
-        picked = [rng.choice(orbs)]
-    return DefiningSet(amb, frozenset(m for o in picked for m in o))
 
 
 # ---------- Ambient ----------

@@ -506,3 +506,13 @@ def test_design_search_budget():
     amb = Ambient(2, (5, 9))
     with pytest.raises(ValueError):
         design_search(amb, SearchConstraints(budget=4))
+
+
+@pytest.mark.parametrize("dim_exact", [10, 100])
+def test_design_search_rejects_unknown_pd_mode_up_front(dim_exact):
+    # the PD check is chosen before the sweep, so an unknown mode is refused
+    # even when no orbit union reaches it (dimension 100 matches none)
+    amb = Ambient(2, (3, 7))
+    with pytest.raises(ValueError, match="unknown pd_mode 'bogus'"):
+        design_search(amb, SearchConstraints(dim_exact=dim_exact, pd_s=2,
+                                             pd_mode="bogus"))
