@@ -22,10 +22,11 @@ from .code import (AbelianCode, min_distance, standard_form_parity,
 from .crt import CrtMap
 from .gamma import CheckSet, build_gamma
 from .orbit import (Ambient, DefiningSet, coset, from_orbit_reps,
-                    normalize_ordering, orbits, validate_defining_set)
-from .permdec import (PD_SUBSET_BUDGET, SEARCH_BUDGET, PDSet, SearchConstraints,
-                      design_report, design_search, enumerate_lambda, is_pd_set,
-                      permutation_decode, translation_subgroup)
+                    normalize_ordering, orbits, unpermute, validate_defining_set)
+from .permdec import (PD_MODES, PD_SUBSET_BUDGET, SEARCH_BUDGET, PDSet,
+                      SearchConstraints, design_report, design_search,
+                      enumerate_lambda, is_pd_set, permutation_decode,
+                      translation_subgroup)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -58,18 +59,28 @@ class CodeSpec:
         return self.defining.ambient
 
 
+def _int(value, what: str) -> int:
+    """A YAML int or integer string; a float, a bool or the rest is a SpecError."""
+    try:
+        if type(value) is int or isinstance(value, str):
+            return int(value)
+    except ValueError:
+        pass
+    raise SpecError(f"{what} must be an integer, not {value!r}")
+
+
 def _int_list(value, what: str) -> tuple:
     """A YAML list of integers as a tuple; anything else is a SpecError."""
-    if not isinstance(value, (list, tuple)):
-        raise SpecError(f"{what} must be a list of integers, not {value!r}")
-    try:
-        return tuple(int(x) for x in value)
-    except (TypeError, ValueError):
-        raise SpecError(f"{what} must be a list of integers, not {value!r}") from None
+    if isinstance(value, (list, tuple)):
+        try:
+            return tuple(_int(x, what) for x in value)
+        except SpecError:
+            pass
+    raise SpecError(f"{what} must be a list of integers, not {value!r}")
 
 
 def _parse_index(entry, n: int):
-    if isinstance(entry, int):
+    if type(entry) is int:
         tup = (entry,)
     elif isinstance(entry, str):
         parts = [p.strip() for p in entry.split(",")]
@@ -93,12 +104,9 @@ def parse_spec(text: str) -> CodeSpec:
         raise SpecError(f"unparseable document: {exc}")
     if not isinstance(data, dict):
         raise SpecError("top level must be a mapping")
-    try:
-        q = int(data["q"])
-    except KeyError:
+    if "q" not in data:
         raise SpecError("missing field: q")
-    except TypeError:
-        raise SpecError(f"q must be an integer, not {data['q']!r}")
+    q = _int(data["q"], "q")
     ds_block = data.get("defining_set") or {}
     if not isinstance(ds_block, dict):
         raise SpecError("defining_set must be a mapping with orbits or explicit")
@@ -223,10 +231,12 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
     check = cs.sorted_positions()
     k = amb.length - len(check)
     axes = [a + 1 for a in cs.ordering]
+    # reps print in the ambient's axis order, m prefixes in processing order
+    reps = [_fmt_index(unpermute(t, cs.ordering)) for t in cs.reps.reps]
     lines = [f"ambient: q={amb.q} r={_fmt_index(amb.r)}",
              f"defining set size: {len(spec.defining)}",
              f"ordering: {_fmt_index(axes)}",
-             _row("representatives:", " ".join(_fmt_index(t) for t in cs.reps.reps))]
+             _row("representatives:", " ".join(reps))]
     m_items = sorted(cs.reps.m_table.items())
     for prefix, mv in m_items:
         lines.append(f"m[{_fmt_index(prefix)}] = {mv}")
@@ -243,7 +253,7 @@ def cmd_infoset(spec: CodeSpec, args) -> int:
     lines.append(f"dimension: {k}")
     doc = {"q": amb.q, "r": list(amb.r),
            "ordering": axes,
-           "representatives": [_fmt_index(t) for t in cs.reps.reps],
+           "representatives": reps,
            "m": {_fmt_index(p): v for p, v in m_items},
            "f": {_label("f", p): v for p, v in cs.fg.f.items()},
            "g": {_label("g", p): v for p, v in g_table.items()},
@@ -429,8 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim-min", type=int, default=None)
     p.add_argument("--min-distance", type=int, default=None)
     p.add_argument("--pd-errors", type=int, default=None)
-    p.add_argument("--pd-mode", default="exhaustive",
-                   choices=["exhaustive", "lemma13", "lemma15"])
+    p.add_argument("--pd-mode", default="exhaustive", choices=PD_MODES)
     p.add_argument("--budget", type=int, default=SEARCH_BUDGET,
                    help=f"cap on the orbit unions (default {SEARCH_BUDGET})")
     p.set_defaults(func=cmd_search)

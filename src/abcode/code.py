@@ -2,17 +2,17 @@
 
 A code is determined by its ambient index space and an orbit-closed
 defining set.  The parity matrix is assembled from the check tensor: for
-each restricted representative e the column at position j carries the
-base-field coordinates of prod_i alpha_i^(e_i j_i), taken in the subfield
-matching the q-orbit size of e.  A word is a codeword iff its syndrome
-against this matrix vanishes, which is how everything downstream (rank
-verification, encoding, decoding, distance work) is grounded.
+the least element e of each q-orbit of the defining set, the column at
+position j carries the base-field coordinates of prod_i alpha_i^(e_i j_i),
+taken in the subfield matching the orbit's size.  A word is a codeword iff
+its syndrome against this matrix vanishes, which is how everything
+downstream (rank verification, encoding, decoding, distance work) is
+grounded.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -24,7 +24,7 @@ from .gamma import CheckSet
 from .gf import (MAX_FIELD_BITS, FieldError, MatrixGF, ScalarField, _unpack_rows,
                  build_context, root_of_unity, subfield_coords)
 from .nt import factorint
-from .orbit import DefiningSet, frobenius_order, restricted_reps
+from .orbit import DefiningSet, frobenius_order
 
 _FULL_ENUM_LIMIT = 1 << 20
 _GRAY_MAX_K = 28
@@ -54,7 +54,6 @@ class AbelianCode:
         self.defining = defining
         self.ctx = build_context(p, s, frobenius_order(amb))
         self.scalars = ScalarField(self.ctx)
-        self.reps = restricted_reps(defining)
         self._parity = None
         self._generator = None
 
@@ -96,18 +95,20 @@ def _exponents(code: AbelianCode, e) -> np.ndarray:
 def check_tensor(code: AbelianCode) -> np.ndarray:
     """The check tensor as a (|D|, l) label array.
 
-    Each representative of q-orbit size d owns a block of d rows.  Every
+    Each q-orbit of D, of size d, owns a block of d rows, built from its
+    least element; the blocks follow the orbits' least elements.  Every
     entry of a block is a power beta^k, so each block takes one
     subfield_coords call on the distinct powers that occur and gathers the
     columns from its result.  parity_matrix caches the result.
     """
-    sizes = tuple(code.reps.gamma(t) for t in code.reps.processed())
-    offsets = itertools.accumulate((0,) + sizes[:-1])
-    mat = np.zeros((sum(sizes), code.length), dtype=code.scalars.dtype)
+    mat = np.zeros((len(code.defining), code.length), dtype=code.scalars.dtype)
     powers = _beta_powers(code)
-    for rep, d, off in zip(code.reps.reps, sizes, offsets):
-        ks, where = np.unique(_exponents(code, rep), return_inverse=True)
+    off = 0
+    for orb in code.defining.orbits():
+        d = len(orb)
+        ks, where = np.unique(_exponents(code, orb[0]), return_inverse=True)
         mat[off:off + d] = subfield_coords(code.ctx, powers[ks], d)[where].T
+        off += d
     return mat
 
 
@@ -140,7 +141,6 @@ class VerifyResult:
     reason: str
     rank: int
     expected: int
-    pivots: tuple = ()
 
     def __bool__(self):
         return self.ok
@@ -160,12 +160,10 @@ def verify_check_positions(code: AbelianCode, cs: CheckSet) -> VerifyResult:
     if npos != expected:
         return VerifyResult(False, "cardinality", -1, expected)
     cols = sorted(code.ambient.index_of(t) for t in cs.positions)
-    _, pivots = MatrixGF(code.scalars, parity_matrix(code).data[:, cols]).rref()
-    rank = len(pivots)
+    rank = len(MatrixGF(code.scalars, parity_matrix(code).data[:, cols]).rref()[1])
     if rank != expected:
         return VerifyResult(False, "rank", rank, expected)
-    piv_positions = tuple(code.ambient.tuple_of(cols[c]) for c in pivots)
-    return VerifyResult(True, "ok", rank, expected, piv_positions)
+    return VerifyResult(True, "ok", rank, expected)
 
 
 # ---------- minimum distance ----------
@@ -418,11 +416,17 @@ def _bz_min(G, budget=None, decide_at_least=None):
             ub, wit = new_ub, new_wit
 
 
-def _full_min(code, G):
-    """Expand every message; memory-bounded exact enumeration."""
-    f = code.scalars
+def _full_min(G, budget=None):
+    """Expand every message; memory-bounded exact enumeration.
+
+    Returns (lower, upper, witness, evaluations), and [1, l] with no witness
+    and nothing evaluated when the q^k messages exceed the budget.
+    """
+    f = G.field
     q = f.q
     k, l = G.data.shape
+    if budget is not None and q**k > budget:
+        return 1, l, None, 0
     if q**k * l > (1 << 28):
         raise ValueError("full enumeration exceeds the memory budget")
     A = np.zeros((1, l), dtype=G.data.dtype)
@@ -431,7 +435,7 @@ def _full_min(code, G):
     weights = np.count_nonzero(A, axis=1)
     weights[0] = l + 1
     i = int(np.argmin(weights))
-    return int(weights[i]), A[i].copy(), q**k
+    return int(weights[i]), int(weights[i]), A[i].copy(), q**k
 
 
 def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> DistanceResult:
@@ -455,12 +459,10 @@ def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> Distan
         best, bw, evals, exact = _gray_min(G.row_ints(), l, budget)
         wit = _unpack_rows([bw], l)[0] if bw is not None else None
         return DistanceResult(best if exact else 1, best, wit, "gray", evals)
-    if method == "full":
-        best, wit, evals = _full_min(code, G)
-        return DistanceResult(best, best, wit, "full", evals)
-    if method == "bz":
-        lower, upper, wit, evals = _bz_min(G, budget)
-        return DistanceResult(lower, upper, wit, "bz", evals)
+    if method in ("full", "bz"):
+        engine = _full_min if method == "full" else _bz_min
+        lower, upper, wit, evals = engine(G, budget)
+        return DistanceResult(lower, upper, wit, method, evals)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .orbit import (Ambient, DefiningSet, RestrictedReps, normalize_ordering,
-                    restricted_reps, unpermute)
+                    permute, restricted_reps, unpermute)
 
 
 @dataclass(frozen=True)
@@ -58,13 +58,17 @@ def compute_fg(reps: RestrictedReps) -> FGTables:
         for u, thr in enumerate(F, start=1):
             walk(path + (u,), weights(c for c, v in values.items() if v >= thr))
 
-    walk((), weights(reps.processed()))
+    walk((), weights(reps.reps))
     return FGTables(f, g)
 
 
 @dataclass(frozen=True)
 class CheckSet:
-    """A verified-shape set of check positions with its provenance."""
+    """A verified-shape set of check positions with its provenance.
+
+    positions are in the ambient's axis order; reps and fg are in processing
+    order, where slot k holds axis ordering[k].
+    """
 
     ambient: Ambient
     ordering: tuple
@@ -86,7 +90,9 @@ def build_gamma(D: DefiningSet, ordering=None, rng=None) -> CheckSet:
     """The check-position set Gamma(C) for a defining set and axis order."""
     amb = D.ambient
     ordering = normalize_ordering(amb.n, ordering)
-    reps = restricted_reps(D, ordering, rng=rng)
+    processed = DefiningSet(Ambient(amb.q, permute(amb.r, ordering)),
+                            frozenset(permute(t, ordering) for t in D.members))
+    reps = restricted_reps(processed, rng=rng)
     fg = compute_fg(reps)
     positions = set()
     for path, count in fg.g.items():

@@ -12,6 +12,7 @@ prefix's joint q-orbit in the truncated ambient.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -57,10 +58,7 @@ class Ambient:
 
     def positions(self):
         """All index tuples in lexicographic order."""
-        out = [()]
-        for ri in self.r:
-            out = [t + (v,) for t in out for v in range(ri)]
-        return out
+        return list(itertools.product(*map(range, self.r)))
 
     def index_of(self, t) -> int:
         idx = 0
@@ -88,13 +86,11 @@ def coset(a: int, r: int, q: int, power: int = 1) -> tuple:
         raise ValueError("modulus must be positive")
     if math.gcd(r, q) != 1:
         raise ValueError(f"gcd(r, q) must be 1, got r={r}, q={q}")
-    step = pow(q, power, r) if r > 1 else 0
-    a %= r
-    out = {a}
-    cur = (a * step) % r if r > 1 else 0
+    step = pow(q, power, r)
+    out, cur = set(), a % r
     while cur not in out:
         out.add(cur)
-        cur = (cur * step) % r
+        cur = cur * step % r
     return tuple(sorted(out))
 
 
@@ -109,9 +105,7 @@ def frobenius_order(amb: Ambient) -> int:
 
 def qorbit(amb: Ambient, a) -> tuple:
     """The joint q-orbit of an index tuple, as a sorted tuple of tuples."""
-    a = amb.reduce(a)
-    out = {a}
-    cur = amb.scale(a, amb.q)
+    out, cur = set(), amb.reduce(a)
     while cur not in out:
         out.add(cur)
         cur = amb.scale(cur, amb.q)
@@ -120,8 +114,7 @@ def qorbit(amb: Ambient, a) -> tuple:
 
 def _partition(amb: Ambient, elements):
     """The q-orbits met by a sorted walk over elements, in order of first meeting."""
-    seen = set()
-    out = []
+    seen, out = set(), []
     for t in elements:
         if t not in seen:
             orb = qorbit(amb, t)
@@ -148,9 +141,13 @@ class DefiningSet:
     def sorted_members(self):
         return sorted(self.members)
 
+    def orbits(self):
+        """The q-orbits contained in the set, in order of least element."""
+        return _partition(self.ambient, self.sorted_members())
+
     def orbit_reps(self):
         """Smallest element of each q-orbit contained in the set."""
-        return [orb[0] for orb in _partition(self.ambient, self.sorted_members())]
+        return [orb[0] for orb in self.orbits()]
 
 
 def validate_defining_set(amb: Ambient, members: Iterable) -> DefiningSet:
@@ -173,10 +170,7 @@ def validate_defining_set(amb: Ambient, members: Iterable) -> DefiningSet:
 
 def from_orbit_reps(amb: Ambient, reps: Iterable) -> DefiningSet:
     """Union of the q-orbits of the given representatives."""
-    members = set()
-    for t in reps:
-        members.update(qorbit(amb, t))
-    return DefiningSet(amb, frozenset(members))
+    return DefiningSet(amb, frozenset(m for t in reps for m in qorbit(amb, t)))
 
 
 def normalize_ordering(n: int, ordering: Optional[Sequence]) -> tuple:
@@ -200,43 +194,29 @@ def unpermute(t, ordering) -> tuple:
     return tuple(out)
 
 
-def _gamma(m_table, prefix) -> int:
-    """Product of m over the nonempty subprefixes of prefix."""
-    return math.prod(m_table[prefix[:i]] for i in range(1, len(prefix) + 1))
-
-
 @dataclass(frozen=True)
 class RestrictedReps:
     """One representative per q-orbit of a defining set, chosen level by level.
 
-    reps are stored in the original axis layout; processed() gives them in
-    the computation order.  The selection guarantees the restriction rule:
-    whenever two representatives agree on gamma at some level and their
-    entries there share a q^gamma-coset, the entries are equal.  m_table
-    maps every processed prefix of a representative to its m.
+    The levels are the axes of the defining set's ambient, first to last; a
+    caller that wants another axis order permutes the set first.  The
+    selection guarantees the restriction rule: whenever two representatives
+    agree on gamma at some level and their entries there share a
+    q^gamma-coset, the entries are equal.  m_table maps every prefix of a
+    representative to its m.
     """
 
     ambient: Ambient
-    ordering: tuple
     reps: tuple
     m_table: dict = field(compare=False, repr=False)
 
-    def processed(self):
-        return [permute(t, self.ordering) for t in self.reps]
-
     def gamma(self, prefix) -> int:
-        """gamma of a processed prefix: the size of its joint q-orbit."""
-        return _gamma(self.m_table, prefix)
-
-    def processed_moduli(self) -> tuple:
-        return permute(self.ambient.r, self.ordering)
-
-    def __len__(self) -> int:
-        return len(self.reps)
+        """Product of m over the nonempty subprefixes: the joint q-orbit size."""
+        return math.prod(self.m_table[prefix[:i]] for i in range(1, len(prefix) + 1))
 
 
-def restricted_reps(D: DefiningSet, ordering=None, rng=None) -> RestrictedReps:
-    """Level-by-level representative selection.
+def restricted_reps(D: DefiningSet, rng=None) -> RestrictedReps:
+    """Level-by-level representative selection, first axis first.
 
     Default choice is the numerically smallest coset element, which is
     deterministic and automatically consistent across branches with equal
@@ -244,51 +224,43 @@ def restricted_reps(D: DefiningSet, ordering=None, rng=None) -> RestrictedReps:
     shared pick per (gamma, coset) pair at each level).
     """
     amb = D.ambient
-    n = amb.n
-    ordering = normalize_ordering(n, ordering)
-    moduli = permute(amb.r, ordering)
-    q = amb.q
-
     ext = {}  # member prefix -> the entries that extend it
     for t in D.members:
-        t = permute(t, ordering)
-        for level in range(n):
+        for level in range(amb.n):
             ext.setdefault(t[:level], set()).add(t[level])
 
     m_table = {}
+    gamma = {(): 1}  # prefix -> the product of m over its subprefixes
     prefixes = [()]
-    for level in range(n):
-        ri = moduli[level]
+    for ri in amb.r:
         chosen = {}  # (gamma, coset) -> representative
         new_prefixes = []
         for e in prefixes:
-            g = _gamma(m_table, e)
+            g = gamma[e]
             seen = set()
             for a in sorted(ext.get(e, ())):
                 if a in seen:
                     continue
-                cs = coset(a, ri, q, g)
+                cs = coset(a, ri, amb.q, g)
                 seen.update(cs)
                 key = (g, cs)
                 if key not in chosen:
                     chosen[key] = cs[0] if rng is None else rng.choice(cs)
-                rep = chosen[key]
-                new_prefix = e + (rep,)
+                new_prefix = e + (chosen[key],)
                 m_table[new_prefix] = len(cs)
+                gamma[new_prefix] = g * len(cs)
                 new_prefixes.append(new_prefix)
         prefixes = sorted(new_prefixes)
 
-    reps = tuple(unpermute(t, ordering) for t in prefixes)
-    return RestrictedReps(amb, ordering, reps, m_table)
+    return RestrictedReps(amb, tuple(prefixes), m_table)
 
 
 def check_restriction(reps: RestrictedReps) -> bool:
     """Directly verify the restriction rule on a representative list."""
-    processed = reps.processed()
-    moduli = reps.processed_moduli()
+    moduli = reps.ambient.r
     q = reps.ambient.q
-    for e in processed:
-        for ep in processed:
+    for e in reps.reps:
+        for ep in reps.reps:
             for t in range(1, len(moduli) + 1):
                 g1 = reps.gamma(e[:t - 1])
                 if g1 != reps.gamma(ep[:t - 1]):

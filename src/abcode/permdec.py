@@ -165,14 +165,18 @@ def _hits_all_orbits(amb: Ambient, positions) -> bool:
     return all(any(member in pos for member in orb) for orb in orbits(amb))
 
 
+def _require_two_axes(amb: Ambient) -> None:
+    if amb.n != 2:
+        raise ValueError("condition is stated for two-variable codes only")
+
+
 def lemma13_check(code: AbelianCode, cs: CheckSet) -> bool:
     """Two-variable sufficient condition for a 2-PD-set.
 
     True iff the check set meets every q-orbit of the whole ambient; the
     caller is responsible for the code actually correcting 2 errors.
     """
-    if code.ambient.n != 2:
-        raise ValueError("condition is stated for two-variable codes only")
+    _require_two_axes(code.ambient)
     return _hits_all_orbits(code.ambient, cs.positions)
 
 
@@ -183,15 +187,28 @@ def lemma15_check(code: AbelianCode, cs: CheckSet) -> bool:
     the last block count to exhaust the first, and the check set to meet
     every q-orbit.  The caller guarantees the code corrects 3 errors.
     """
-    if code.ambient.n != 2:
-        raise ValueError("condition is stated for two-variable codes only")
+    _require_two_axes(code.ambient)
     if cs.fg is None or cs.reps is None:
         raise ValueError("check set carries no construction data")
-    r1p, r2p = cs.reps.processed_moduli()
+    r1p, r2p = cs.reps.ambient.r
     f = cs.fg.f[()]
     if not f or f[0] != r2p or cs.fg.g[(len(f),)] != r1p:
         return False
     return _hits_all_orbits(code.ambient, cs.positions)
+
+
+def _exhaustive_check(amb: Ambient, s: int):
+    lam = enumerate_lambda(amb)
+    return lambda code, cs: bool(is_pd_set(amb, lam, cs.complement(), s))
+
+
+# pd_mode -> make(amb, s): refuses an ambient the mode cannot serve, else
+# returns the check(code, cs) design_search applies to each union.  Names
+# are looked up when called, so a wrapper installed later (the traced
+# benchmark wraps enumerate_lambda) still sees the call.
+PD_MODES = {"exhaustive": _exhaustive_check,
+            "lemma13": lambda amb, s: _require_two_axes(amb) or lemma13_check,
+            "lemma15": lambda amb, s: _require_two_axes(amb) or lemma15_check}
 
 
 # ---------- the decoding loop ----------
@@ -233,7 +250,7 @@ class SearchConstraints:
     dim_min: Optional[int] = None
     d_min: Optional[int] = None
     pd_s: Optional[int] = None
-    pd_mode: str = "exhaustive"  # or "lemma13" / "lemma15"
+    pd_mode: str = "exhaustive"  # a key of PD_MODES
     budget: int = SEARCH_BUDGET
 
 
@@ -259,18 +276,11 @@ def design_search(amb: Ambient, constraints: SearchConstraints):
     orbs = orbits(amb)
     if 2 ** len(orbs) > constraints.budget:
         raise ValueError(f"2^{len(orbs)} orbit unions exceed the search budget")
-    s = constraints.pd_s
-    if s is None:
-        pd_check = None
-    elif constraints.pd_mode == "exhaustive":
-        lam = enumerate_lambda(amb)
-        pd_check = lambda code, cs: bool(is_pd_set(amb, lam, cs.complement(), s))
-    elif constraints.pd_mode == "lemma13":
-        pd_check = lemma13_check
-    elif constraints.pd_mode == "lemma15":
-        pd_check = lemma15_check
-    else:
-        raise ValueError(f"unknown pd_mode {constraints.pd_mode!r}")
+    pd_check = None
+    if constraints.pd_s is not None:
+        if constraints.pd_mode not in PD_MODES:
+            raise ValueError(f"unknown pd_mode {constraints.pd_mode!r}")
+        pd_check = PD_MODES[constraints.pd_mode](amb, constraints.pd_s)
     hits = []
     l = amb.length
     for pick in itertools.product((False, True), repeat=len(orbs)):

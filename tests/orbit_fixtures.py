@@ -1,20 +1,29 @@
 """Test helpers shared by the orbit and Gamma tests: hand-wired
-representatives and seeded random ambients and defining sets."""
+representatives, permuted defining sets and seeded random ambients and
+defining sets."""
 
 import math
 
-from abcode.orbit import Ambient, DefiningSet, RestrictedReps, coset, orbits
+from abcode.orbit import (Ambient, DefiningSet, RestrictedReps, coset, orbits,
+                          permute)
 
 
 def hand_wired_reps(amb, reps):
-    """RestrictedReps on hand-picked reps (axis order kept), m from coset sizes."""
+    """RestrictedReps on hand-picked reps, m from coset sizes."""
     m = {}
     for t in reps:
         gamma = 1
         for i in range(1, len(t) + 1):
             m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
             gamma *= m[t[:i]]
-    return RestrictedReps(amb, tuple(range(amb.n)), tuple(reps), m)
+    return RestrictedReps(amb, tuple(reps), m)
+
+
+def permuted(D, order):
+    """D with its axes taken in the given order: slot k holds axis order[k]."""
+    amb = D.ambient
+    return DefiningSet(Ambient(amb.q, permute(amb.r, order)),
+                       frozenset(permute(t, order) for t in D.members))
 
 
 def random_ambient(rng, qs=(2, 3, 5), max_len=60):

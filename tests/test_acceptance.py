@@ -288,7 +288,7 @@ def test_criterion_04_illegal_representative_choice_is_never_made():
         for i in range(1, 4):
             m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
             gamma *= m[t[:i]]
-    raw = RestrictedReps(amb, (0, 1, 2), tuple(sorted(forbidden)), m)
+    raw = RestrictedReps(amb, tuple(sorted(forbidden)), m)
     if check_restriction(raw):
         failures.append("the forbidden choice passed check_restriction")
     total = m[(0, 0)] + m[(0, 1)] + m[(0, 2)]

@@ -143,6 +143,12 @@ def test_parse_spec_rejects_bad_documents():
     "q: 2\nr: [3, 7]\ndefining_set:\n  orbits: [[0, [3]]]\n",  # nested index
     "q: 2\ncrt:\n  factors: [3, 5]\ndefining_set:\n  explicit: [[1]]\n",  # residue
     "q: 2\nr: [3, 7]\nordering: [[1], 2]\n",           # nested axis number
+    "q: 2.7\nr: [3, 7]\n",                               # q a float
+    "q: true\nr: [3, 7]\n",                              # q a bool
+    "q: 2\nr: [3.9, 7]\n",                               # modulus a float
+    "q: 2\nr: [3, 7]\nordering: [2.2, 1]\n",            # axis number a float
+    "q: 2\ncrt:\n  factors: [3.0, 5]\n",                # factor a float
+    "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: [[0, 3.5]]\n",  # index entry
 ])
 def test_malformed_spec_exits_2(tmp_path, capsys, text):
     from abcode.cli import SpecError
@@ -254,6 +260,32 @@ def test_infoset_order_flag(tmp_path, capsys):
     assert d1["ordering"] == [2, 1]
 
 
+SPEC_353 = """\
+q: 2
+r: [3, 5, 3]
+defining_set:
+  orbits: ["0,1,1", "0,1,2", "1,0,2"]
+"""
+
+PINNED = Path(__file__).resolve().parent / "pinned"
+
+
+@pytest.mark.parametrize("name,text,flags", [
+    ("infoset_35_order_2_1", SPEC_35, ["--order", "2,1"]),
+    ("infoset_353_order_3_1_2_seed_7", SPEC_353,
+     ["--order", "3,1,2", "--random-reps", "--seed", "7"]),
+])
+@pytest.mark.parametrize("suffix", [".txt", ".yaml"])
+def test_infoset_output_pinned_under_a_permuted_order(tmp_path, capsys, name,
+                                                      text, flags, suffix):
+    # representatives print in the ambient's axis order, m prefixes in
+    # processing order; both the text and the YAML form are pinned
+    machine = ["--machine-output"] if suffix == ".yaml" else []
+    code, out = run_cli(capsys, "infoset", write(tmp_path, text), *flags, *machine)
+    assert code == EXIT_OK
+    assert out == (PINNED / (name + suffix)).read_text()
+
+
 def test_infoset_crt_pullback(tmp_path, capsys):
     path = write(tmp_path, SPEC_CRT)
     code, out = run_cli(capsys, "infoset", path, "--machine-output")
@@ -359,6 +391,21 @@ def test_mindist_budget_bracket(tmp_path, capsys):
     doc = yaml.safe_load(out)
     assert doc["exact"] is False
     assert doc["lower"] == 1
+
+
+def test_mindist_full_honours_the_budget(tmp_path, capsys):
+    # k = 6: full expands all 2^6 messages or, under a smaller budget, none
+    path = write(tmp_path, SPEC_37)
+    for budget, want in (("0", "minimum distance in [1, 21] (budget exhausted)\n"
+                               "method: full, evaluations: 0\n"),
+                         ("63", "minimum distance in [1, 21] (budget exhausted)\n"
+                                "method: full, evaluations: 0\n"),
+                         ("64", "minimum distance: 7\nmethod: full, evaluations: 64\n")):
+        code, out = run_cli(capsys, "mindist", path, "--method", "full",
+                            "--budget", budget)
+        assert code == EXIT_OK
+        assert out.startswith(want)
+        assert ("witness: " in out) == (budget == "64")
 
 
 def test_mindist_nonbinary_budget_bracket(tmp_path, capsys):
@@ -516,6 +563,29 @@ def test_bad_input_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message in captured.err
+    # spec integers are YAML ints or integer strings, nothing else
+    for text, message in [
+            ("q: 2.7\nr: [3, 7]\n", "error: q must be an integer, not 2.7\n"),
+            ("q: \"x\"\nr: [3, 7]\n", "error: q must be an integer, not 'x'\n"),
+            ("q: 2\nr: [3.9, 7]\n",
+             "error: r must be a list of integers, not [3.9, 7]\n"),
+            ("q: 2\nr: [3, 7]\nordering: [2.2, 1]\n",
+             "error: ordering must be a list of integers, not [2.2, 1]\n"),
+            ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, false]\n",
+             "error: crt units must be a list of integers, not [1, False]\n")]:
+        assert main(["orbits", write(tmp_path, text)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+    assert parse_spec("q: \"2\"\nr: [\"3\", 7]\n").ambient.r == (3, 7)
+    # a PD mode stated for two axes is refused before any union is built
+    path = write(tmp_path, SPEC_HAMMING, "h7.yaml")
+    for extra in ([], ["--dim-exact", "100"]):
+        assert main(["search", path, "--pd-errors", "2", "--pd-mode", "lemma13",
+                     *extra]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: condition is stated for two-variable codes only\n"
     # --budget reaches the library as given, 0 included
     for argv, message in [
             (["pdset", write(tmp_path, SPEC_37, "c37.yaml"), "--errors", "2", "--budget", "0"],

@@ -14,7 +14,8 @@ from abcode.gamma import build_gamma, compute_fg
 from abcode.orbit import (Ambient, DefiningSet, check_restriction, qorbit,
                           restricted_reps, unpermute, validate_defining_set)
 
-from orbit_fixtures import hand_wired_reps, random_ambient, random_defining_set
+from orbit_fixtures import (hand_wired_reps, permuted, random_ambient,
+                            random_defining_set)
 
 # ---------- frozen two-axis code on (3, 7) ----------
 
@@ -43,10 +44,10 @@ GAMMA_35_AXIS1_FIRST = {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 1), (1, 2)}
 GAMMA_35_AXIS2_FIRST = {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (0, 3), (0, 4)}
 
 
-def gamma_oracle(reps):
+def gamma_oracle(reps, ordering):
     """Gamma from the m-table alone, with no f/g tables.
 
-    In processed coordinates, with P_t the length-t prefixes of the reps:
+    In the reps' processing order, with P_t the length-t prefixes of the reps:
     W_{n-1}(e) sums m(x) over the children x of e, W_{t-1}(e) sums m(x)
     over the children x of e with W_t(x) > i_{t+1}, and i lies in Gamma
     iff i_1 < W_0(()).
@@ -54,7 +55,7 @@ def gamma_oracle(reps):
     n = reps.ambient.n
     m = reps.m_table
     children = {}
-    for t in reps.processed():
+    for t in reps.reps:
         for i in range(n):
             children.setdefault(t[:i], set()).add(t[:i + 1])
 
@@ -64,8 +65,8 @@ def gamma_oracle(reps):
             return sum(m[x] for x in kids)
         return sum(m[x] for x in kids if weight(x, i) > i[len(e) + 1])
 
-    return {unpermute(i, reps.ordering)
-            for i in itertools.product(*map(range, reps.processed_moduli()))
+    return {unpermute(i, ordering)
+            for i in itertools.product(*map(range, reps.ambient.r))
             if i[0] < weight((), i)}
 
 
@@ -129,9 +130,9 @@ def test_tables_on_35_both_orderings():
     assert fg1.f == {(): (3, 1)}
     assert fg1.g == {(1,): 2, (2,): 3}
 
-    r2 = restricted_reps(D_35, ordering=(1, 0))
-    assert sorted(r2.reps) == [(0, 0), (1, 0), (2, 1)]
-    # processed layout: second axis first
+    r2 = restricted_reps(permuted(D_35, (1, 0)))
+    # processed layout, second axis first: (2, 1) in the ambient is (1, 2)
+    assert r2.reps == ((0, 0), (0, 1), (1, 2))
     assert r2.m_table == {(0,): 1, (1,): 4, (0, 0): 1, (0, 1): 2, (1, 2): 1}
     fg2 = compute_fg(r2)
     assert fg2.f == {(): (3, 1)}
@@ -238,13 +239,13 @@ def test_gamma_tables_match_orbit_sizes():
         amb = random_ambient(rng)
         D = random_defining_set(rng, amb)
         order = tuple(rng.sample(range(amb.n), amb.n))
-        reps = restricted_reps(D, order, rng=random.Random(rng.randrange(1000)))
+        reps = restricted_reps(permuted(D, order),
+                               rng=random.Random(rng.randrange(1000)))
         # the m recorded during selection, against coset sizes recomputed
-        recomputed = hand_wired_reps(
-            Ambient(amb.q, reps.processed_moduli()), reps.processed())
+        recomputed = hand_wired_reps(reps.ambient, reps.reps)
         assert reps.m_table == recomputed.m_table
-        for orig, proc in zip(reps.reps, reps.processed()):
-            assert reps.gamma(proc) == len(qorbit(amb, orig))
+        for t in reps.reps:
+            assert reps.gamma(t) == len(qorbit(amb, unpermute(t, order)))
 
 
 def test_gamma_matches_the_tree_free_oracle():
@@ -256,4 +257,4 @@ def test_gamma_matches_the_tree_free_oracle():
         for seed in (None, 1, 2):
             cs = build_gamma(
                 D, ordering=order, rng=None if seed is None else random.Random(seed))
-            assert cs.positions == gamma_oracle(cs.reps)
+            assert cs.positions == gamma_oracle(cs.reps, cs.ordering)

@@ -16,7 +16,8 @@ from abcode.orbit import (Ambient, NotOrbitClosed, check_restriction, coset,
                           qorbit, restricted_reps, unpermute,
                           validate_defining_set)
 
-from orbit_fixtures import hand_wired_reps, random_ambient, random_defining_set
+from orbit_fixtures import (hand_wired_reps, permuted, random_ambient,
+                            random_defining_set)
 
 # ---------- oracles ----------
 
@@ -177,10 +178,12 @@ def test_restricted_reps_cover_each_orbit_once():
         amb = random_ambient(rng)
         D = random_defining_set(rng, amb)
         order = tuple(rng.sample(range(amb.n), amb.n))
-        reps = restricted_reps(D, order)
-        orbs = {qorbit(amb, t) for t in D.members}
-        assert len(reps) == len(orbs)
-        assert {qorbit(amb, t) for t in reps.reps} == orbs
+        D = permuted(D, order)
+        reps = restricted_reps(D)
+        assert reps.ambient == D.ambient
+        orbs = {qorbit(D.ambient, t) for t in D.members}
+        assert len(reps.reps) == len(orbs)
+        assert {qorbit(D.ambient, t) for t in reps.reps} == orbs
         for t in reps.reps:
             assert t in D.members
         assert check_restriction(reps)
@@ -192,13 +195,13 @@ def test_restricted_reps_m_table_consistent():
         amb = random_ambient(rng)
         D = random_defining_set(rng, amb)
         order = tuple(rng.sample(range(amb.n), amb.n))
-        reps = restricted_reps(D, order, rng=random.Random(rng.randrange(1000)))
-        moduli = reps.processed_moduli()
-        processed = reps.processed()
+        reps = restricted_reps(permuted(D, order),
+                               rng=random.Random(rng.randrange(1000)))
+        moduli = reps.ambient.r
         # m is recorded for exactly the prefixes of the representatives
-        assert set(reps.m_table) == {t[:i] for t in processed
+        assert set(reps.m_table) == {t[:i] for t in reps.reps
                                      for i in range(1, amb.n + 1)}
-        for t in processed:
+        for t in reps.reps:
             gamma = 1
             for i in range(1, len(t) + 1):
                 prefix = t[:i]
@@ -207,7 +210,7 @@ def test_restricted_reps_m_table_consistent():
                 gamma *= reps.m_table[prefix]
                 assert reps.gamma(prefix) == gamma
             # full product is the joint orbit size
-            assert gamma == len(qorbit(amb, unpermute(t, reps.ordering)))
+            assert gamma == len(qorbit(amb, unpermute(t, order)))
 
 
 def test_restricted_reps_random_choices_stay_legal():
@@ -221,6 +224,20 @@ def test_restricted_reps_random_choices_stay_legal():
             reps = restricted_reps(D, rng=random.Random(seed))
             assert {qorbit(amb, t) for t in reps.reps} == orbs
             assert check_restriction(reps)
+
+
+def test_default_reps_are_the_orbit_minima():
+    # the check tensor reads D.orbits() where Gamma reads the default reps:
+    # both walk the same least elements, in the same order, with gamma the
+    # size of each orbit
+    rng = random.Random(13)
+    for _ in range(120):
+        amb = random_ambient(rng, qs=(2, 3, 4, 5, 7, 8, 9))
+        D = random_defining_set(rng, amb)
+        reps = restricted_reps(D)
+        orbs = D.orbits()
+        assert list(reps.reps) == [orb[0] for orb in orbs] == D.orbit_reps()
+        assert [reps.gamma(t) for t in reps.reps] == [len(orb) for orb in orbs]
 
 
 PINNED_REPS_DIGEST = (
@@ -239,8 +256,9 @@ def test_seeded_choices_are_pinned():
         order = tuple(rng.sample(range(amb.n), amb.n))
         for seed in (None, 1, 2, 3):
             reps = restricted_reps(
-                D, order, rng=None if seed is None else random.Random(seed))
-            out.append((reps.reps, sorted(reps.m_table.items())))
+                permuted(D, order), rng=None if seed is None else random.Random(seed))
+            out.append((tuple(unpermute(t, order) for t in reps.reps),
+                        sorted(reps.m_table.items())))
     digest = hashlib.sha256(repr(out).encode()).hexdigest()
     assert digest == PINNED_REPS_DIGEST
 

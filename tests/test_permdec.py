@@ -21,7 +21,8 @@ from abcode.code import (AbelianCode, contains, generator_matrix,
 from abcode.gamma import CheckSet, build_gamma
 from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
                           from_orbit_reps, orbits)
-from abcode.permdec import (PDSet, SearchConstraints, design_report,
+import abcode.permdec
+from abcode.permdec import (PD_MODES, PDSet, SearchConstraints, design_report,
                             design_search, enumerate_lambda, is_pd_set,
                             lemma13_check, lemma15_check, permutation_decode,
                             translation_subgroup)
@@ -516,3 +517,36 @@ def test_design_search_rejects_unknown_pd_mode_up_front(dim_exact):
     with pytest.raises(ValueError, match="unknown pd_mode 'bogus'"):
         design_search(amb, SearchConstraints(dim_exact=dim_exact, pd_s=2,
                                              pd_mode="bogus"))
+
+
+@pytest.mark.parametrize("mode", ["lemma13", "lemma15"])
+@pytest.mark.parametrize("dim_exact", [4, 100])
+def test_design_search_refuses_lemma_modes_off_two_axes_up_front(mode, dim_exact):
+    # refused before the sweep, so also when no union reaches the PD filter
+    amb = Ambient(2, (7,))
+    with pytest.raises(ValueError, match="two-variable codes only"):
+        design_search(amb, SearchConstraints(dim_exact=dim_exact, pd_s=2,
+                                             pd_mode=mode))
+
+
+def test_pd_modes_dispatch_through_the_table(monkeypatch):
+    assert set(PD_MODES) == {"exhaustive", "lemma13", "lemma15"}
+    amb = Ambient(2, (3, 7))
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return enumerate_lambda(a)
+
+    # the exhaustive check looks the group table up when the search runs
+    monkeypatch.setattr(abcode.permdec, "enumerate_lambda", counted)
+    cons = dict(dim_exact=6, d_min=7, pd_s=2)
+    got = {mode: [h.defining for h in design_search(
+               amb, SearchConstraints(pd_mode=mode, **cons))]
+           for mode in PD_MODES}
+    assert calls == [amb]
+    assert TWO_AXIS_37 in got["exhaustive"]
+    # each lemma is a sufficient condition for its PD-set
+    assert got["lemma13"] == got["exhaustive"]
+    assert 0 < len(got["lemma15"]) < len(got["exhaustive"])
+    assert all(d in got["exhaustive"] for d in got["lemma15"])
