@@ -8,18 +8,18 @@ Frobenius permutations (permdec module).
 """
 
 from .code import (AbelianCode, DistanceResult, MatrixGF, VerifyResult,
-                   check_tensor, contains, dimension, distance_at_least,
-                   encode, find_low_weight_codeword, generator_matrix,
-                   min_distance, parity_matrix, standard_form_parity,
+                   check_tensor, contains, distance_at_least, encode,
+                   find_low_weight_codeword, generator_matrix, min_distance,
+                   parity_matrix, standard_form_parity,
                    verify_check_positions)
 from .crt import CrtMap
 from .gamma import CheckSet, FGTables, build_gamma, compute_fg
 from .gf import (FieldContext, FieldError, ScalarField, build_context,
                  root_of_unity, subfield_coords)
 from .orbit import (Ambient, DefiningSet, NotOrbitClosed, RestrictedReps,
-                    check_restriction, coset, frobenius_order,
-                    from_orbit_reps, normalize_ordering, orbits, permute,
-                    qorbit, restricted_reps, unpermute, validate_defining_set)
+                    coset, frobenius_order, from_orbit_reps,
+                    normalize_ordering, orbits, permute, qorbit,
+                    restricted_reps, unpermute, validate_defining_set)
 from .permdec import (PDResult, PDSet, SearchConstraints, SearchHit,
                       design_report, design_search, enumerate_lambda,
                       is_pd_set, lemma13_check, lemma15_check,

@@ -189,7 +189,7 @@ def _check_set(spec: CodeSpec, args) -> CheckSet:
     """Gamma under --order (else the spec's ordering) and --random-reps --seed."""
     ordering = spec.ordering
     if args.order:
-        ordering = [int(a) - 1 for a in args.order.split(",")]
+        ordering = [_int(a, "--order entry") - 1 for a in args.order.split(",")]
     rng = random.Random(args.seed) if getattr(args, "random_reps", False) else None
     return build_gamma(spec.defining, ordering=ordering, rng=rng)
 

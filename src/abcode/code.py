@@ -21,24 +21,12 @@ from typing import Optional
 import numpy as np
 
 from .gamma import CheckSet
-from .gf import (MAX_FIELD_BITS, FieldError, MatrixGF, ScalarField, _unpack_rows,
-                 build_context, root_of_unity, subfield_coords)
-from .nt import factorint
+from .gf import (MatrixGF, ScalarField, _unpack_rows, build_context,
+                 root_of_unity, subfield_coords)
 from .orbit import DefiningSet, frobenius_order
 
 _FULL_ENUM_LIMIT = 1 << 20
 _GRAY_MAX_K = 28
-
-
-def _prime_power(q: int):
-    # no field past the size policy gets built, and factoring such q may not end
-    if q > 1 << MAX_FIELD_BITS:
-        raise FieldError(f"q = {q} exceeds the {MAX_FIELD_BITS}-bit size policy")
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    ((p, s),) = fac.items()
-    return p, s
 
 
 # ---------- the code itself ----------
@@ -49,10 +37,9 @@ class AbelianCode:
 
     def __init__(self, defining: DefiningSet):
         amb = defining.ambient
-        p, s = _prime_power(amb.q)
         self.ambient = amb
         self.defining = defining
-        self.ctx = build_context(p, s, frobenius_order(amb))
+        self.ctx = build_context(amb.p, amb.s, frobenius_order(amb))
         self.scalars = ScalarField(self.ctx)
         self._parity = None
         self._generator = None
@@ -122,10 +109,6 @@ def generator_matrix(code: AbelianCode) -> MatrixGF:
     if code._generator is None:
         code._generator = parity_matrix(code).nullspace()
     return code._generator
-
-
-def dimension(code: AbelianCode) -> int:
-    return code.dimension
 
 
 def contains(code: AbelianCode, vec) -> bool:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .nt import crt
-from .orbit import Ambient, DefiningSet, NotOrbitClosed, validate_defining_set
+from .orbit import Ambient, DefiningSet, NotOrbitClosed, as_int, validate_defining_set
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class CrtMap:
     units: tuple
 
     def __init__(self, factors, units=None):
-        factors = tuple(int(r) for r in factors)
+        factors = tuple(as_int(r, "factor") for r in factors)
         if not factors or any(r < 1 for r in factors):
             raise ValueError("factors must be positive")
         for i in range(len(factors)):
@@ -35,7 +35,7 @@ class CrtMap:
                         f"factors {factors[i]} and {factors[j]} are not coprime")
         if units is None:
             units = (1,) * len(factors)
-        units = tuple(int(u) % r for u, r in zip(units, factors))
+        units = tuple(as_int(u, "unit") % r for u, r in zip(units, factors))
         if len(units) != len(factors):
             raise ValueError("one unit per factor required")
         for u, r in zip(units, factors):
@@ -54,7 +54,7 @@ class CrtMap:
         return tuple((u * t) % r for u, r in zip(self.units, self.factors))
 
     def inverse(self, tup) -> int:
-        tup = tuple(int(x) for x in tup)
+        tup = tuple(as_int(x, "coordinate") for x in tup)
         if len(tup) != len(self.factors):
             raise ValueError("wrong number of coordinates")
         for x, r in zip(tup, self.factors):
@@ -71,7 +71,7 @@ class CrtMap:
         is then automatically orbit-closed, which validate re-checks.
         """
         l = self.length
-        mem = {int(t) % l for t in members}
+        mem = {as_int(t, "residue") % l for t in members}
         for t in mem:
             img = (t * q) % l
             if img not in mem:

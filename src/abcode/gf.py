@@ -6,12 +6,14 @@ and M is chosen by the caller so that every root of unity it needs lives in
 F_{q^M}.
 
 Representation: an element is the tuple of its deg coefficients mod p, low
-degree first, for every p.  A product convolves two digit rows and maps
-the result through the digit rows of x^0, ..., x^(2 deg - 2) modulo the
-modulus, tabulated once per context.  Every deterministic choice made
-here (modulus, generator, subfield bases) follows one rule: candidates are
-ordered by the integer encoding sum(c_i * p^i) and the smallest valid one
-wins.  Two contexts built from the same (p, s, M) are therefore identical.
+degree first.  A product convolves two digit rows and maps the result
+through the digit rows of x^0, ..., x^(2 deg - 2) modulo the modulus,
+tabulated once per context.  Tuple products and powers are construction
+work; the codes compute on base-field labels (ScalarField).  Every
+deterministic choice made here (modulus, generator, subfield bases)
+follows one rule: candidates are ordered by the integer encoding
+sum(c_i * p^i) and the smallest valid one wins.  Two contexts built
+from the same (p, s, M) are therefore identical.
 
 Multiplication by a fixed element is F_p-linear, so bulk work (power tables,
 basis changes, subfield solvers) runs as matrix products mod p on digit
@@ -29,6 +31,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .nt import factorint, isprime
 
 MAX_FIELD_BITS = 64
+MAX_BASE_FIELD = 4096  # q = p^s; ScalarField tabulates q x q label tables
 
 
 class FieldError(ValueError):
@@ -45,10 +48,7 @@ def _poly_trim(c):
 
 
 def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, v in enumerate(a):
-        out[i] = v
+    out = list(a) + [0] * (len(b) - len(a))
     for i, v in enumerate(b):
         out[i] = (out[i] - v) % p
     return _poly_trim(out)
@@ -128,12 +128,7 @@ def _lowest_irreducible(p, d):
     if d == 1:
         return [0, 1]
     for enc in range(p**d):
-        tail = enc
-        coeffs = []
-        for _ in range(d):
-            coeffs.append(tail % p)
-            tail //= p
-        f = coeffs + [1]
+        f = [enc // p**i % p for i in range(d)] + [1]
         if _is_irreducible(f, p):
             return f
     raise FieldError("no irreducible polynomial found (unreachable)")
@@ -145,8 +140,10 @@ def _lowest_irreducible(p, d):
 class FieldContext:
     """Arithmetic context for F_{p^(s*M)} with designated base field F_{p^s}.
 
-    Immutable after construction; safe to share.  Heavy per-subfield data
-    (coordinate solvers) is cached lazily.
+    The size policy lives here: p^(s*M) at most 2^64 and q = p^s at most
+    4096, so int64 digit rows hold every product sum, (2 deg - 1) (p - 1)^2
+    at most.  Immutable after construction; safe to share.  Heavy
+    per-subfield data (coordinate solvers) is cached lazily.
     """
 
     def __init__(self, p: int, s: int, M: int):
@@ -159,6 +156,8 @@ class FieldContext:
             raise FieldError(
                 f"field F_{{{p}^{deg}}} exceeds the {MAX_FIELD_BITS}-bit size policy"
             )
+        if p**s > MAX_BASE_FIELD:
+            raise FieldError("base field too large for tabulated scalar work")
         self.p = p
         self.s = s
         self.M = M
@@ -168,11 +167,8 @@ class FieldContext:
         self.N = self.order - 1  # multiplicative group order
 
         self.modulus = tuple(_lowest_irreducible(p, deg))
-        self.zero = (0,) * deg
         self.one = (1,) + (0,) * (deg - 1)
 
-        # products of digit rows stay exact in int64 while (2 deg - 1) (p-1)^2 fits
-        self._digit_dtype = np.int64 if (2 * deg - 1) * (p - 1) ** 2 < 1 << 63 else object
         self._xpow = self._x_powers()
         self.generator_rep = self._find_generator()
         self._solvers = {}
@@ -182,32 +178,17 @@ class FieldContext:
 
     def decode(self, enc: int):
         """Digits of the encoding sum(c_i * p^i); the canonical element order."""
-        digits = []
-        for _ in range(self.deg):
-            digits.append(enc % self.p)
-            enc //= self.p
-        return tuple(digits)
+        return tuple(enc // self.p**i % self.p for i in range(self.deg))
 
-    # -- arithmetic on raw representations --
-
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+    # -- products of digit tuples (construction time) --
 
     def mul(self, a, b):
         """Convolve the digit rows, then map x^k to its reduced digit row."""
-        dtype = self._digit_dtype
-        t = np.convolve(np.array(a, dtype=dtype), np.array(b, dtype=dtype)) % self.p
+        t = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) % self.p
         return tuple((t @ self._xpow % self.p).tolist())
 
     def pow(self, a, e: int):
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        """a^e for e >= 0, by squaring."""
         result = self.one
         base = a
         while e:
@@ -216,11 +197,6 @@ class FieldContext:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def inv(self, a):
-        if a == self.zero:
-            raise FieldError("division by zero")
-        return self.pow(a, self.N - 1) if self.N > 1 else a
 
     def _find_generator(self):
         if self.N == 1:
@@ -274,8 +250,8 @@ class FieldContext:
         Each row is the one above multiplied by x: shift up one degree, then
         replace x^deg by minus the low coefficients of the modulus.
         """
-        low = np.array(self.modulus[:-1], dtype=self._digit_dtype)
-        xp = np.zeros((2 * self.deg - 1, self.deg), dtype=self._digit_dtype)
+        low = np.array(self.modulus[:-1], dtype=np.int64)
+        xp = np.zeros((2 * self.deg - 1, self.deg), dtype=np.int64)
         xp[0, 0] = 1
         for i in range(1, len(xp)):
             xp[i, 1:] = xp[i - 1, :-1]
@@ -288,7 +264,7 @@ class FieldContext:
         a * x^i = sum_j a_j x^(i+j), so row i is a times x-power rows i..i+deg-1.
         """
         windows = sliding_window_view(self._xpow, self.deg, axis=0)
-        return windows @ np.array(a, dtype=self._digit_dtype) % self.p
+        return windows @ np.array(a, dtype=np.int64) % self.p
 
     def powers(self, a, n: int):
         """(n, deg) digit rows of a^0, ..., a^(n-1), by doubling.
@@ -296,7 +272,7 @@ class FieldContext:
         Rows [m, 2m) are rows [0, m) times the matrix of a^m, so the table
         costs about 2 log2(n) matrix products mod p.
         """
-        out = np.zeros((n, self.deg), dtype=self._digit_dtype)
+        out = np.zeros((n, self.deg), dtype=np.int64)
         out[:1, 0] = 1
         step = self.mul_matrix(a)
         m = 1
@@ -305,15 +281,6 @@ class FieldContext:
             step = step @ step % self.p
             m *= 2
         return out
-
-    # -- dunders --
-
-    def __eq__(self, other):
-        return isinstance(other, FieldContext) and \
-            (self.p, self.s, self.M) == (other.p, other.s, other.M)
-
-    def __hash__(self):
-        return hash((self.p, self.s, self.M))
 
     def __repr__(self):
         return f"FieldContext(p={self.p}, s={self.s}, M={self.M})"
@@ -357,18 +324,18 @@ def subfield_coords(ctx: FieldContext, a, d: int):
 
 
 class ScalarField:
-    """The base field F_q of a context, acting on integer labels 0..q-1.
+    """The base field F_q of a context, acting on integer label arrays.
 
     Labels follow the same encoding as subfield_coords.  Addition is
     digitwise mod p; products go through the ambient context's powers of
     eta.  Both are tabulated once per field for s > 1.
 
-    add, neg, sub and mul also take label arrays: when a is a numpy array
-    (b an array broadcastable with it, or one label) they return an array of
-    a's dtype.  submul and dot are the fused forms the matrix kernels need.
-    For s = 1 every form is integer arithmetic mod p, otherwise a lookup in
-    the tables.  Elementwise the s = 1 arrays run in int32, which holds p^2
-    because q <= 4096; dot sums in int64.
+    add, neg, sub and mul take a label array a (and b, an array
+    broadcastable with it or one label) and return an array of a's dtype;
+    submul and dot are the fused forms the matrix kernels need, and inv
+    takes one label.  For s = 1 every op is integer arithmetic mod p,
+    otherwise a lookup in the tables.  Elementwise the s = 1 arrays run in
+    int32, which holds p^2 because the context bounds q; dot sums in int64.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -376,48 +343,26 @@ class ScalarField:
         self.p = ctx.p
         self.s = ctx.s
         self.q = ctx.q
-        if self.q > 4096:
-            raise FieldError("base field too large for tabulated scalar work")
         self.dtype = np.uint8 if self.q <= 256 else np.uint16
         self._tables = None
 
-    # labels as elements of the context
-
-    def _digits(self, labels):
-        """Base-p digits of a label or label array on a new last axis, low first."""
-        return np.asarray(labels)[..., None] // self.p ** np.arange(self.s) % self.p
-
-    def element(self, label: int):
-        """The digit tuple of sum(c_j * eta^j) for the label sum(c_j * p^j)."""
-        ctx = self.ctx
-        row = self._digits(label) @ ctx.powers(ctx.eta(), self.s) % self.p
-        return tuple(row.tolist())
-
-    # ops on labels and label arrays
-
     def add(self, a, b):
         if self.s > 1:
-            return self._lookup(self.tables()[0][a, b], a)
-        if isinstance(a, np.ndarray):
-            return self._mod_p(np.add(a, b, dtype=np.int32), a.dtype)
-        return (a + b) % self.p
+            return self.tables()[0][a, b].astype(a.dtype, copy=False)
+        return self._mod_p(np.add(a, b, dtype=np.int32), a.dtype)
 
     def neg(self, a):
         if self.s > 1:
-            return self._lookup(self.tables()[2][a], a)
-        if isinstance(a, np.ndarray):
-            return self._mod_p(np.subtract(self.p, a, dtype=np.int32), a.dtype)
-        return (-a) % self.p
+            return self.tables()[2][a].astype(a.dtype, copy=False)
+        return self._mod_p(np.subtract(self.p, a, dtype=np.int32), a.dtype)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
         if self.s > 1:
-            return self._lookup(self.tables()[1][a, b], a)
-        if isinstance(a, np.ndarray):
-            return self._mod_p(np.multiply(a, b, dtype=np.int32), a.dtype)
-        return (a * b) % self.p
+            return self.tables()[1][a, b].astype(a.dtype, copy=False)
+        return self._mod_p(np.multiply(a, b, dtype=np.int32), a.dtype)
 
     def submul(self, a, c, b):
         """a - c * b for label arrays (broadcast), in a's dtype.
@@ -456,11 +401,6 @@ class ScalarField:
         t %= self.p
         return t.astype(dtype)
 
-    @staticmethod
-    def _lookup(t, a):
-        """A table lookup in the form of a: an array of a's dtype, or an int."""
-        return t.astype(a.dtype, copy=False) if isinstance(a, np.ndarray) else int(t)
-
     def tables(self):
         """(add_table, mul_table, neg_table, log, exp) as numpy label arrays.
 
@@ -476,7 +416,9 @@ class ScalarField:
             add_table = np.zeros((q, q), dtype=dtype)
             neg_table = np.zeros(q, dtype=dtype)
             # uint16 holds 2 (p - 1) and every label, as q <= 4096
-            for j, digit in enumerate(self._digits(np.arange(q)).T.astype(np.uint16)):
+            labels = np.arange(q, dtype=np.uint16)
+            for j in range(self.s):
+                digit = labels // p**j % p
                 add_table += np.add.outer(digit, digit) % p * p**j
                 neg_table += (p - digit) % p * p**j
             mul_table = exp[np.add.outer(log, log) % (q - 1)]

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
+
+from .gf import MAX_FIELD_BITS, FieldError
+from .nt import factorint
 
 
 class NotOrbitClosed(ValueError):
@@ -29,24 +33,51 @@ class NotOrbitClosed(ValueError):
         )
 
 
+def as_int(value, what: str) -> int:
+    """A Python or numpy integer as an int; a bool or any other type is a ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True)
 class Ambient:
-    """The index space Z_{r_1} x ... x Z_{r_n} together with the field size q."""
+    """The index space Z_{r_1} x ... x Z_{r_n} together with the field size q.
+
+    q = p^s is a prime power within the 64-bit field-size policy; p and s
+    take no part in equality."""
 
     q: int
     r: tuple
+    p: int = field(init=False, repr=False, compare=False)
+    s: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
-        if self.q < 2:
+        q = as_int(self.q, "q")
+        r = tuple(as_int(v, "r_i") for v in self.r)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
+        if q < 2:
             raise ValueError("q must be at least 2")
-        if not self.r:
+        if not r:
             raise ValueError("at least one axis required")
-        for ri in self.r:
+        for ri in r:
             if ri < 1:
                 raise ValueError("moduli must be positive")
-            if math.gcd(ri, self.q) != 1:
-                raise ValueError(f"gcd(r_i, q) must be 1, got r_i={ri}, q={self.q}")
+            if math.gcd(ri, q) != 1:
+                raise ValueError(f"gcd(r_i, q) must be 1, got r_i={ri}, q={q}")
+        # no field past the size policy gets built, and factoring such q may not end
+        if q > 1 << MAX_FIELD_BITS:
+            raise FieldError(f"q = {q} exceeds the {MAX_FIELD_BITS}-bit size policy")
+        fac = factorint(q)
+        if len(fac) != 1:
+            raise ValueError(f"q = {q} is not a prime power")
+        ((p, s),) = fac.items()
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
 
     @property
     def n(self) -> int:
@@ -154,7 +185,7 @@ def validate_defining_set(amb: Ambient, members: Iterable) -> DefiningSet:
     """Check orbit closure and freeze the set; witness on failure."""
     normalized = set()
     for t in members:
-        t = tuple(int(v) for v in t)
+        t = tuple(as_int(v, "index entry") for v in t)
         if len(t) != amb.n:
             raise ValueError(f"index {t} has wrong arity for {amb.r}")
         for v, ri in zip(t, amb.r):
@@ -177,7 +208,7 @@ def normalize_ordering(n: int, ordering: Optional[Sequence]) -> tuple:
     """0-based axis permutation; slot k of the result is processed k-th."""
     if ordering is None:
         return tuple(range(n))
-    ordering = tuple(int(v) for v in ordering)
+    ordering = tuple(as_int(v, "ordering entry") for v in ordering)
     if sorted(ordering) != list(range(n)):
         raise ValueError(f"ordering {ordering} is not a permutation of 0..{n - 1}")
     return ordering
@@ -209,10 +240,6 @@ class RestrictedReps:
     ambient: Ambient
     reps: tuple
     m_table: dict = field(compare=False, repr=False)
-
-    def gamma(self, prefix) -> int:
-        """Product of m over the nonempty subprefixes: the joint q-orbit size."""
-        return math.prod(self.m_table[prefix[:i]] for i in range(1, len(prefix) + 1))
 
 
 def restricted_reps(D: DefiningSet, rng=None) -> RestrictedReps:
@@ -253,19 +280,3 @@ def restricted_reps(D: DefiningSet, rng=None) -> RestrictedReps:
         prefixes = sorted(new_prefixes)
 
     return RestrictedReps(amb, tuple(prefixes), m_table)
-
-
-def check_restriction(reps: RestrictedReps) -> bool:
-    """Directly verify the restriction rule on a representative list."""
-    moduli = reps.ambient.r
-    q = reps.ambient.q
-    for e in reps.reps:
-        for ep in reps.reps:
-            for t in range(1, len(moduli) + 1):
-                g1 = reps.gamma(e[:t - 1])
-                if g1 != reps.gamma(ep[:t - 1]):
-                    continue
-                ct = coset(e[t - 1], moduli[t - 1], q, g1)
-                if ep[t - 1] in ct and e[t - 1] != ep[t - 1]:
-                    return False
-    return True

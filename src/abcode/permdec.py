@@ -111,6 +111,14 @@ class PDResult:
         return self.ok
 
 
+def _check_errors(l: int, s: int) -> None:
+    """An s-PD-set check needs 1 <= s <= l: past l there is no s-subset."""
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    if s > l:
+        raise ValueError(f"s = {s} exceeds the length {l}")
+
+
 def is_pd_set(amb: Ambient, elements, info_set, s: int,
               budget: int = PD_SUBSET_BUDGET) -> PDResult:
     """Exhaustive Definition-style check over all s-subsets of positions.
@@ -121,9 +129,8 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
     is nonzero, and any zero partial AND already dooms every superset, which
     prunes the walk.
     """
-    if s < 1:
-        raise ValueError("s must be at least 1")
     l = amb.length
+    _check_errors(l, s)
     if math.comb(l, s) > budget:
         raise ValueError(f"C({l}, {s}) exceeds the subset budget {budget}")
     elements = _group_table(amb, elements)
@@ -198,6 +205,7 @@ def lemma15_check(code: AbelianCode, cs: CheckSet) -> bool:
 
 
 def _exhaustive_check(amb: Ambient, s: int):
+    _check_errors(amb.length, s)
     lam = enumerate_lambda(amb)
     return lambda code, cs: bool(is_pd_set(amb, lam, cs.complement(), s))
 

@@ -1,6 +1,6 @@
 """Test helpers shared by the orbit and Gamma tests: hand-wired
-representatives, permuted defining sets and seeded random ambients and
-defining sets."""
+representatives, the restriction-rule oracle, permuted defining sets and
+seeded random ambients and defining sets."""
 
 import math
 
@@ -17,6 +17,27 @@ def hand_wired_reps(amb, reps):
             m[t[:i]] = len(coset(t[i - 1], amb.r[i - 1], amb.q, gamma))
             gamma *= m[t[:i]]
     return RestrictedReps(amb, tuple(reps), m)
+
+
+def gamma_of(reps, prefix):
+    """Product of m over the nonempty subprefixes: the joint q-orbit size."""
+    return math.prod(reps.m_table[prefix[:i]] for i in range(1, len(prefix) + 1))
+
+
+def check_restriction(reps):
+    """Directly verify the restriction rule on a representative list."""
+    moduli = reps.ambient.r
+    q = reps.ambient.q
+    for e in reps.reps:
+        for ep in reps.reps:
+            for t in range(1, len(moduli) + 1):
+                g1 = gamma_of(reps, e[:t - 1])
+                if g1 != gamma_of(reps, ep[:t - 1]):
+                    continue
+                ct = coset(e[t - 1], moduli[t - 1], q, g1)
+                if ep[t - 1] in ct and e[t - 1] != ep[t - 1]:
+                    return False
+    return True
 
 
 def permuted(D, order):

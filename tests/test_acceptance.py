@@ -17,18 +17,19 @@ import numpy as np
 import pytest
 from sympy import n_order
 
-from abcode.code import (AbelianCode, dimension, find_low_weight_codeword,
+from abcode.code import (AbelianCode, find_low_weight_codeword,
                          generator_matrix, min_distance, standard_form_parity,
                          verify_check_positions)
 from abcode.crt import CrtMap
 from abcode.gamma import CheckSet, build_gamma, compute_fg
-from abcode.orbit import (Ambient, DefiningSet, RestrictedReps,
-                          check_restriction, coset, from_orbit_reps, orbits,
-                          restricted_reps, validate_defining_set)
+from abcode.orbit import (Ambient, DefiningSet, RestrictedReps, coset,
+                          from_orbit_reps, orbits, restricted_reps,
+                          validate_defining_set)
 from abcode.permdec import (PDSet, SearchConstraints, design_search,
                             enumerate_lambda, is_pd_set, lemma13_check,
                             lemma15_check, permutation_decode,
                             translation_subgroup)
+from orbit_fixtures import check_restriction
 
 
 _CAPSYS = None
@@ -148,7 +149,7 @@ def random_code_suite():
             q=q, r=r, ordering=ordering, dsize=len(members),
             length=amb.length, gamma_size=len(cs.positions),
             verify_ok=res.ok, verify_reason=res.reason, invariant=invariant,
-            dim=dimension(code), gen_rank=generator_matrix(code).rank()))
+            dim=code.dimension, gen_rank=generator_matrix(code).rank()))
     return tuple(rows)
 
 
@@ -415,7 +416,7 @@ def test_criterion_08_length_45_two_error_codes():
     failures = []
     b = battery_45()
     for row in b.six:
-        k = dimension(row.code)
+        k = row.code.dimension
         if k != 29:
             failures.append(f"orbits {row.reps}: dimension {k}, wanted 29")
         if not (row.dist.is_exact and row.dist.value == 5):
@@ -426,8 +427,8 @@ def test_criterion_08_length_45_two_error_codes():
             failures.append(f"orbits {row.reps}: the full shift-and-"
                             f"Frobenius group is not a 2-PD-set")
     c7, c8 = b.c7, b.c8
-    if dimension(c7.code) != 31:
-        failures.append(f"first (3,15) code: dimension {dimension(c7.code)}, "
+    if c7.code.dimension != 31:
+        failures.append(f"first (3,15) code: dimension {c7.code.dimension}, "
                         f"wanted 31")
     if not (c7.dist.is_exact and c7.dist.value == 6):
         failures.append(f"first (3,15) code: distance "
@@ -442,9 +443,9 @@ def test_criterion_08_length_45_two_error_codes():
     if not C7_TEN_LISTED <= gamma7:
         failures.append(f"first (3,15) code: check set misses the listed "
                         f"positions {sorted(C7_TEN_LISTED - gamma7)}")
-    if len(gamma7) != 45 - dimension(c7.code):
+    if len(gamma7) != 45 - c7.code.dimension:
         failures.append(f"first (3,15) code: {len(gamma7)} check positions, "
-                        f"wanted 45 - {dimension(c7.code)}")
+                        f"wanted 45 - {c7.code.dimension}")
     fg7 = c7.cs.fg
     f7, g7 = fg7.f[()], (fg7.g[(1,)], fg7.g[(2,)])
     if f7 != (8, 3) or g7 != (1, 3):
@@ -458,9 +459,9 @@ def test_criterion_08_length_45_two_error_codes():
     if not verify_check_positions(c7.code, c7.cs).ok:
         failures.append("first (3,15) code: check set fails rank "
                         "verification")
-    if dimension(c8.code) != 32:
+    if c8.code.dimension != 32:
         failures.append(f"second (3,15) code: dimension "
-                        f"{dimension(c8.code)}, wanted 32")
+                        f"{c8.code.dimension}, wanted 32")
     if not (c8.dist.is_exact and c8.dist.value == 6):
         failures.append(f"second (3,15) code: distance "
                         f"[{c8.dist.lower},{c8.dist.upper}], wanted exactly 6")
@@ -505,7 +506,7 @@ def test_criterion_10_length_65_three_error_codes():
     b = battery_65()
     for row in b.rows:
         tag = f"orbit (1,{row.x})"
-        k = dimension(row.code)
+        k = row.code.dimension
         if k != 40:
             failures.append(f"{tag}: dimension {k}, wanted 40")
         if not (row.dist.is_exact and row.dist.value == 8):
@@ -531,7 +532,7 @@ def test_criterion_11_decoder_corrects_every_pattern_of_weight_up_to_2():
     pd = PDSet(translation_subgroup(b.amb315), 2, cs.complement())
     G = generator_matrix(code)
     rng = random.Random(1212)
-    l, k = code.ambient.length, dimension(code)
+    l, k = code.ambient.length, code.dimension
     patterns = [(j,) for j in range(l)] + list(combinations(range(l), 2))
     assert len(patterns) == 1035
     miscorrected = 0

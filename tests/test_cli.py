@@ -542,6 +542,19 @@ def test_bad_input_exits_2(tmp_path, capsys):
     path = write(tmp_path, "q: 2\nr: [3, 7]\n")
     assert main(["infoset", path, "--order", "1,1"]) == EXIT_BAD_INPUT
     capsys.readouterr()
+    # --order is read as the spec's own ordering is
+    for order in ("2.5,1", "x,1", "true,1"):
+        assert main(["infoset", path, "--order", order]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        part = order.split(",")[0]
+        assert captured.err == f"error: --order entry must be an integer, not '{part}'\n"
+    # more errors than positions: no s-subset exists, so no verdict
+    path = write(tmp_path, "q: 2\nr: [3, 15]\ndefining_set:\n  orbits: [\"0,0\"]\n")
+    assert main(["pdset", path, "--errors", "50"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: s = 50 exceeds the length 45\n"
     # 3 divides the length 15: there are no 3-cyclotomic cosets mod 15,
     # and the factor is named before any residue is closed
     for kind in ("orbits", "explicit"):
@@ -690,6 +703,23 @@ def test_edge_inputs_through_every_subcommand(tmp_path, name, sub):
     else:
         assert proc.stderr == ""
         assert want_line in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize("sub", ["orbits", "infoset", "verify", "mindist", "pdset",
+                                 "decode", "search"])
+def test_q_is_checked_by_the_ambient_on_every_subcommand(tmp_path, capsys, sub):
+    flags = {"pdset": ["--errors", "1"],
+             "decode": ["--word", "0,0,0,0,0", "--errors", "1"]}.get(sub, [])
+    big = 2**64 + 1
+    for text, message in [
+            ("q: 6\nr: [5]\n", "error: q = 6 is not a prime power\n"),
+            ("q: 6\ncrt:\n  factors: [5, 7]\n", "error: q = 6 is not a prime power\n"),
+            (f"q: {big}\nr: [5]\n",
+             f"error: q = {big} exceeds the 64-bit size policy\n")]:
+        assert main([sub, write(tmp_path, text), *flags]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
 
 
 @pytest.mark.parametrize("sub", ["verify", "mindist"])

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abcode.code
+import abcode.orbit
 from abcode.code import (AbelianCode, MatrixGF, check_tensor, contains,
                          distance_at_least, encode, find_low_weight_codeword,
                          generator_matrix, min_distance, parity_matrix,
@@ -25,6 +26,7 @@ from abcode.gf import (FieldError, ScalarField, build_context, root_of_unity,
 from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
                           from_orbit_reps, orbits, qorbit,
                           validate_defining_set)
+from field_fixtures import Labels, elem_add, element
 
 # sample codes reused below
 HAMMING = from_orbit_reps(Ambient(2, (7,)), [(1,)])          # [7, 4, 3]
@@ -51,6 +53,7 @@ NAMED = {"HAMMING": HAMMING, "GOLAY3": GOLAY3, "QUARTIC": QUARTIC,
 
 
 def naive_rref(sf: ScalarField, data, col_order):
+    ops = Labels(sf)
     rows = [[int(v) for v in row] for row in data]
     nrows = len(rows)
     pivots = []
@@ -64,23 +67,24 @@ def naive_rref(sf: ScalarField, data, col_order):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = sf.inv(rows[r][col])
-        rows[r] = [sf.mul(inv, v) for v in rows[r]]
+        inv = ops.inv(rows[r][col])
+        rows[r] = [ops.mul(inv, v) for v in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][col]:
                 c = rows[i][col]
-                rows[i] = [sf.sub(v, sf.mul(c, w)) for v, w in zip(rows[i], rows[r])]
+                rows[i] = [ops.sub(v, ops.mul(c, w)) for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
     return [row for row in rows if any(row)], pivots
 
 
 def naive_mul_vec(sf, data, vec):
+    ops = Labels(sf)
     out = []
     for row in data:
         acc = 0
         for a, b in zip(row, vec):
-            acc = sf.add(acc, sf.mul(int(a), int(b)))
+            acc = ops.add(acc, ops.mul(int(a), int(b)))
         out.append(acc)
     return out
 
@@ -115,13 +119,13 @@ def naive_evaluate_at_root(code, vec, exponent):
     """P(alpha^e) with one ctx.pow per axis and position."""
     ctx, amb = code.ctx, code.ambient
     roots = naive_roots(code)
-    acc = ctx.zero
+    acc = ctx.decode(0)
     for j, pos in enumerate(amb.positions()):
         if vec[j]:
-            x = code.scalars.element(int(vec[j]))
+            x = element(ctx, int(vec[j]))
             for root, e, t, r in zip(roots, exponent, pos, amb.r):
                 x = ctx.mul(x, ctx.pow(root, e * t % r))
-            acc = ctx.add(acc, x)
+            acc = elem_add(ctx, acc, x)
     return acc
 
 
@@ -238,18 +242,19 @@ def test_parity_and_generator_shapes(D):
 def test_membership_agrees_with_root_evaluation(D):
     code = AbelianCode(D)
     G = generator_matrix(code)
-    sf = code.scalars
+    ops = Labels(code.scalars)
+    zero = code.ctx.decode(0)
     rng = random.Random(35)
     for trial in range(20):
-        coeffs = [rng.randrange(sf.q) for _ in range(G.shape[0])]
+        coeffs = [rng.randrange(ops.q) for _ in range(G.shape[0])]
         vec = np.zeros(code.length, dtype=np.int64)
         for c, row in zip(coeffs, G.data):
             for j in range(code.length):
-                vec[j] = sf.add(int(vec[j]), sf.mul(c, int(row[j])))
+                vec[j] = ops.add(int(vec[j]), ops.mul(c, int(row[j])))
         if trial % 2:
-            vec[rng.randrange(code.length)] = rng.randrange(1, sf.q)
+            vec[rng.randrange(code.length)] = rng.randrange(1, ops.q)
         by_parity = contains(code, vec)
-        by_roots = all(naive_evaluate_at_root(code, vec, e) == code.ctx.zero
+        by_roots = all(naive_evaluate_at_root(code, vec, e) == zero
                        for e in sorted(D.members))
         assert by_parity == by_roots
 
@@ -259,7 +264,7 @@ def test_single_position_flip_breaks_every_root():
     vec = np.zeros(7, dtype=np.uint8)
     vec[3] = 1
     for e in sorted(HAMMING.members):
-        assert naive_evaluate_at_root(code, vec, e) != code.ctx.zero
+        assert naive_evaluate_at_root(code, vec, e) != code.ctx.decode(0)
 
 
 def test_empty_defining_set_is_the_full_space():
@@ -327,12 +332,13 @@ def test_field_past_64_bits_is_refused():
 
 
 def test_q_past_64_bits_is_refused_before_factoring(monkeypatch):
+    # the ambient owns q's validity, so the refusal comes before any code
     def no_factoring(n):
         raise AssertionError(f"factored {n}")
-    monkeypatch.setattr(abcode.code, "factorint", no_factoring)
+    monkeypatch.setattr(abcode.orbit, "factorint", no_factoring)
     q = (2**61 - 1) * (2**89 - 1)   # Pollard-Brent would need ~2^30 steps
     with pytest.raises(FieldError, match="64-bit"):
-        AbelianCode(DefiningSet(Ambient(q, (2,)), frozenset()))
+        Ambient(q, (2,))
 
 
 # ---------- verification ----------

@@ -9,6 +9,7 @@ that pullbacks remain verified check positions for the cyclic code.
 import math
 import random
 
+import numpy as np
 import pytest
 
 from abcode.code import AbelianCode, verify_check_positions
@@ -50,6 +51,14 @@ def test_map_validation():
     m = CrtMap((3, 5), units=(5, 11))  # units normalized mod factors
     assert m.units == (2, 1)
     assert m.length == 15
+    # factors and units are integers, read as Ambient reads its moduli
+    for factors, units in [([3.7, 5], None), ([3, 5.0], None), ([True, 5], None),
+                           (["3", 5], None), ([3, 5], [True, 1]), ([3, 5], [1.0, 1])]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            CrtMap(factors, units)
+    m = CrtMap(np.array([3, 5]), np.array([2, 1]))
+    assert (m.factors, m.units) == ((3, 5), (2, 1))
+    assert all(type(v) is int for v in m.factors + m.units)
 
 
 @pytest.mark.parametrize("factors,units", [

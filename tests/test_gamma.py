@@ -11,11 +11,11 @@ import math
 import random
 
 from abcode.gamma import build_gamma, compute_fg
-from abcode.orbit import (Ambient, DefiningSet, check_restriction, qorbit,
-                          restricted_reps, unpermute, validate_defining_set)
+from abcode.orbit import (Ambient, DefiningSet, qorbit, restricted_reps,
+                          unpermute, validate_defining_set)
 
-from orbit_fixtures import (hand_wired_reps, permuted, random_ambient,
-                            random_defining_set)
+from orbit_fixtures import (check_restriction, gamma_of, hand_wired_reps,
+                            permuted, random_ambient, random_defining_set)
 
 # ---------- frozen two-axis code on (3, 7) ----------
 
@@ -77,8 +77,8 @@ def test_tables_on_37():
     reps = restricted_reps(D_37)
     assert sorted(reps.reps) == [(0, 3), (1, 1), (1, 3)]
     assert reps.m_table == {(0,): 1, (1,): 2, (0, 3): 3, (1, 1): 3, (1, 3): 3}
-    assert reps.gamma((0, 3)) == 3
-    assert reps.gamma((1, 1)) == 6
+    assert gamma_of(reps, (0, 3)) == 3
+    assert gamma_of(reps, (1, 1)) == 6
     fg = compute_fg(reps)
     assert fg.f == {(): (6, 3)}
     assert fg.g == {(1,): 2, (2,): 3}
@@ -245,7 +245,7 @@ def test_gamma_tables_match_orbit_sizes():
         recomputed = hand_wired_reps(reps.ambient, reps.reps)
         assert reps.m_table == recomputed.m_table
         for t in reps.reps:
-            assert reps.gamma(t) == len(qorbit(amb, unpermute(t, order)))
+            assert gamma_of(reps, t) == len(qorbit(amb, unpermute(t, order)))
 
 
 def test_gamma_matches_the_tree_free_oracle():

@@ -13,6 +13,7 @@ import pytest
 
 from abcode.gf import (FieldContext, FieldError, ScalarField, build_context,
                        root_of_unity, subfield_coords)
+from field_fixtures import Labels, elem_add, elem_neg, element
 
 # ---------- naive polynomial oracles ----------
 
@@ -117,14 +118,13 @@ def test_generator_is_smallest_primitive(p, s, M):
     assert naive_order(ctx, ctx.generator_rep) == ctx.N
     g_enc = sum(c * p**i for i, c in enumerate(ctx.generator_rep))
     for enc in range(1, g_enc):
-        rep = ctx.decode(enc)
-        if rep == ctx.zero:
-            continue
-        assert naive_order(ctx, rep) < ctx.N
+        assert naive_order(ctx, ctx.decode(enc)) < ctx.N
 
 
 # encodings of the smallest primitive elements, pinned so that a change to
-# the product or to the candidate order shows up as a different generator
+# the product or to the candidate order shows up as a different generator;
+# 4093 is the largest prime the q <= 4096 policy admits, and its entry was
+# checked against poly_mul_mod powers over the prime factors of 4093^2 - 1
 FROZEN_GENERATORS = {
     (3, 1, 36): 5,
     (3, 1, 28): 12,
@@ -133,7 +133,7 @@ FROZEN_GENERATORS = {
     (2, 2, 22): 7,
     (3, 1, 10): 34,
     (3, 1, 8): 38,
-    (4099, 1, 2): 4102,  # x + 3: about 4 100 constants come first in the order
+    (4093, 1, 2): 4103,  # x + 10: the 4 093 constants come first in the order
 }
 
 
@@ -149,7 +149,8 @@ def test_frozen_generators(p, s, M):
 def test_contexts_with_same_parameters_agree():
     a = build_context(2, 1, 4)
     b = FieldContext(2, 1, 4)
-    assert a == b
+    assert a is build_context(2, 1, 4) and a is not b
+    assert (a.p, a.s, a.M, a.q, a.order) == (b.p, b.s, b.M, b.q, b.order)
     assert a.modulus == b.modulus
     assert a.generator_rep == b.generator_rep
 
@@ -168,18 +169,6 @@ def test_mul_matches_naive_polynomials(p, s, M):
         a = ctx.decode(rng.randrange(ctx.order))
         b = ctx.decode(rng.randrange(ctx.order))
         assert list(ctx.mul(a, b)) == poly_mul_mod(a, b, mod, p)
-
-
-def test_mul_in_a_61_bit_prime_field():
-    p = 2**61 - 1
-    ctx = build_context(p, 1, 1)
-    assert ctx.generator_rep == (37,)
-    rng = random.Random(61)
-    for _ in range(50):
-        a, b = rng.randrange(p), rng.randrange(p)
-        assert ctx.mul((a,), (b,)) == ((a * b) % p,)
-    # past int64 range the linear maps keep Python integers
-    assert ctx.powers((a,), 5).tolist() == [[pow(a, i, p)] for i in range(5)]
 
 
 LINEAR_CONTEXTS = [(2, 1, 4), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 1), (5, 1, 2)]
@@ -201,7 +190,7 @@ def test_mul_matrix_rows_are_products_with_powers_of_x(p, s, M):
 def test_powers_match_running_product(p, s, M):
     ctx = build_context(p, s, M)
     rng = random.Random(6)
-    for a in [ctx.zero, ctx.one, ctx.generator_rep] + \
+    for a in [ctx.decode(0), ctx.one, ctx.generator_rep] + \
             [ctx.decode(rng.randrange(ctx.order)) for _ in range(5)]:
         for n in (1, 2, 3, 7, 8, 9):
             want, acc = [], ctx.one
@@ -214,28 +203,24 @@ def test_powers_match_running_product(p, s, M):
 @pytest.mark.parametrize("p,s,M", [(2, 1, 4), (3, 1, 2), (2, 2, 3)])
 def test_field_laws(p, s, M):
     ctx = build_context(p, s, M)
+    zero = ctx.decode(0)
     rng = random.Random(7)
+
+    def add(x, y):
+        return elem_add(ctx, x, y)
+
     for _ in range(100):
         a = ctx.decode(rng.randrange(ctx.order))
         b = ctx.decode(rng.randrange(ctx.order))
         c = ctx.decode(rng.randrange(ctx.order))
-        assert ctx.add(a, b) == ctx.add(b, a)
         assert ctx.mul(a, b) == ctx.mul(b, a)
         assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
-        assert ctx.mul(a, ctx.add(b, c)) == ctx.add(ctx.mul(a, b), ctx.mul(a, c))
-        assert ctx.sub(ctx.add(a, b), b) == a
-        assert ctx.add(a, ctx.neg(a)) == ctx.zero
-        if a != ctx.zero:
-            assert ctx.mul(a, ctx.inv(a)) == ctx.one
-            assert ctx.pow(a, -1) == ctx.inv(a)
+        assert ctx.mul(a, add(b, c)) == add(ctx.mul(a, b), ctx.mul(a, c))
+        assert ctx.mul(a, zero) == zero
+        if a != zero:
+            assert ctx.mul(a, ctx.pow(a, ctx.N - 1)) == ctx.one
         assert ctx.pow(a, 5) == ctx.mul(a, ctx.mul(a, ctx.mul(a, ctx.mul(a, a))))
         assert ctx.pow(a, 0) == ctx.one
-
-
-def test_division_by_zero_raises():
-    ctx = build_context(2, 1, 4)
-    with pytest.raises(FieldError):
-        ctx.inv(ctx.zero)
 
 
 def test_root_of_unity_orders():
@@ -253,7 +238,6 @@ def test_root_of_unity_orders():
                                      (3, 1, 4, 2), (3, 2, 2, 2)])
 def test_subfield_coords_reconstruct(p, s, M, d):
     ctx = build_context(p, s, M)
-    sf = ScalarField(ctx)
     gd = root_of_unity(ctx, ctx.q**d - 1)
     sub_size = ctx.q**d
     inside, outside = [], []
@@ -267,10 +251,10 @@ def test_subfield_coords_reconstruct(p, s, M, d):
         inside.append(a)
         coords = subfield_coords(ctx, [a], d)
         assert coords.shape == (1, d)
-        acc = ctx.zero
+        acc = ctx.decode(0)
         gpow = ctx.one
         for label in coords[0].tolist():
-            acc = ctx.add(acc, ctx.mul(sf.element(label), gpow))
+            acc = elem_add(ctx, acc, ctx.mul(element(ctx, label), gpow))
             gpow = ctx.mul(gpow, gd)
         assert acc == a
     assert len(inside) == sub_size
@@ -297,21 +281,25 @@ def test_subfield_coords_bad_degree():
 
 
 def test_subfield_coords_refuses_primes_past_4096():
-    # the coordinate solve row reduces over F_p, whose ScalarField is bounded
-    big = build_context(4099, 1, 2)
-    with pytest.raises(FieldError):
-        subfield_coords(big, [big.one], 1)
+    # the coordinate solve row reduces over F_p, whose labels are tabulated,
+    # so no context past q = 4096 is built, whatever its degree
+    for p, s, M in [(4099, 1, 1), (4099, 1, 2), (2, 13, 1)]:
+        with pytest.raises(FieldError, match="base field too large for tabulated"):
+            build_context(p, s, M)
 
 
 def test_labels_are_residues_for_prime_fields():
     ctx = build_context(3, 1, 2)
     sf = ScalarField(ctx)
-    for a in range(3):
-        for b in range(3):
-            assert sf.add(a, b) == (a + b) % 3
-            assert sf.mul(a, b) == (a * b) % 3
-        assert sf.neg(a) == (-a) % 3
-        assert subfield_coords(ctx, [sf.element(a)], 1)[0, 0] == a
+    a = np.repeat(np.arange(3, dtype=np.uint8), 3)
+    b = np.tile(np.arange(3, dtype=np.uint8), 3)
+    x, y = a.astype(int), b.astype(int)
+    assert sf.add(a, b).tolist() == ((x + y) % 3).tolist()
+    assert sf.mul(a, b).tolist() == (x * y % 3).tolist()
+    assert sf.neg(a).tolist() == (-x % 3).tolist()
+    for label in range(3):
+        assert element(ctx, label) == (label, 0)
+        assert subfield_coords(ctx, [element(ctx, label)], 1)[0, 0] == label
 
 
 @pytest.mark.parametrize("p,s,M", [(2, 1, 3), (2, 2, 2), (3, 1, 2), (3, 2, 1),
@@ -327,22 +315,26 @@ def test_scalar_field_matches_element_arithmetic(p, s, M):
     def label(e):
         return subfield_coords(ctx, [e], 1)[0, 0]
 
-    elems = [sf.element(a) for a in range(q)]
+    elems = [element(ctx, a) for a in range(q)]
     assert [label(e) for e in elems] == list(range(q))
     if q <= 27:
         pairs = [(a, b) for a in range(q) for b in range(q)]
     else:
         rng = random.Random(q)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
-    for a, b in pairs:
+    x, y = (np.array(v, dtype=sf.dtype) for v in zip(*pairs))
+    sums, prods, diffs = (op(x, y).tolist() for op in (sf.add, sf.mul, sf.sub))
+    for (a, b), s_ab, p_ab, d_ab in zip(pairs, sums, prods, diffs):
         ea, eb = elems[a], elems[b]
-        assert add_t[a, b] == sf.add(a, b) == label(ctx.add(ea, eb))
-        assert mul_t[a, b] == sf.mul(a, b) == label(ctx.mul(ea, eb))
-        assert sf.sub(a, b) == label(ctx.sub(ea, eb))
+        assert add_t[a, b] == s_ab == label(elem_add(ctx, ea, eb))
+        assert mul_t[a, b] == p_ab == label(ctx.mul(ea, eb))
+        assert d_ab == label(elem_add(ctx, ea, elem_neg(ctx, eb)))
+    labels = np.arange(q, dtype=sf.dtype)
+    negs = sf.neg(labels).tolist()
     for a, ea in enumerate(elems):
-        assert neg_t[a] == sf.neg(a) == label(ctx.neg(ea))
+        assert neg_t[a] == negs[a] == label(elem_neg(ctx, ea))
         if a:
-            assert sf.mul(a, sf.inv(a)) == 1
+            assert sf.mul(labels[a:a + 1], sf.inv(a)).tolist() == [1]
 
 
 @pytest.mark.parametrize("p,s,M", [(2, 2, 2), (3, 1, 2)])
@@ -350,11 +342,10 @@ def test_scalar_tables_agree_with_scalar_ops(p, s, M):
     sf = ScalarField(build_context(p, s, M))
     add_t, mul_t, neg_t, log, exp = sf.tables()
     q = sf.q
-    for a in range(q):
-        assert int(neg_t[a]) == sf.neg(a)
-        for b in range(q):
-            assert int(add_t[a, b]) == sf.add(a, b)
-            assert int(mul_t[a, b]) == sf.mul(a, b)
+    labels = np.arange(q, dtype=sf.dtype)
+    assert neg_t.tolist() == sf.neg(labels).tolist()
+    assert add_t.tolist() == sf.add(labels[:, None], labels).tolist()
+    assert mul_t.tolist() == sf.mul(labels[:, None], labels).tolist()
     for k in range(q - 1):
         assert log[int(exp[k])] == k
 
@@ -362,19 +353,20 @@ def test_scalar_tables_agree_with_scalar_ops(p, s, M):
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)])
 def test_scalar_array_forms_agree_with_scalar_ops(p, s):
     sf = ScalarField(build_context(p, s, 1))
+    ops = Labels(sf)
     q = sf.q
     a = np.repeat(np.arange(q, dtype=np.uint8), q)     # every label pair
     b = np.tile(np.arange(q, dtype=np.uint8), q)
     c = b[::-1].copy()
     x, y, z = a.tolist(), b.tolist(), c.tolist()
     results = {
-        "add": (sf.add(a, b), [sf.add(u, v) for u, v in zip(x, y)]),
-        "mul": (sf.mul(a, b), [sf.mul(u, v) for u, v in zip(x, y)]),
-        "mul by one label": (sf.mul(a, q - 1), [sf.mul(u, q - 1) for u in x]),
-        "neg": (sf.neg(a), [sf.neg(u) for u in x]),
-        "sub": (sf.sub(a, b), [sf.sub(u, v) for u, v in zip(x, y)]),
+        "add": (sf.add(a, b), [ops.add(u, v) for u, v in zip(x, y)]),
+        "mul": (sf.mul(a, b), [ops.mul(u, v) for u, v in zip(x, y)]),
+        "mul by one label": (sf.mul(a, q - 1), [ops.mul(u, q - 1) for u in x]),
+        "neg": (sf.neg(a), [ops.neg(u) for u in x]),
+        "sub": (sf.sub(a, b), [ops.sub(u, v) for u, v in zip(x, y)]),
         "submul": (sf.submul(a, c, b),
-                   [sf.sub(u, sf.mul(w, v)) for u, w, v in zip(x, z, y)]),
+                   [ops.sub(u, ops.mul(w, v)) for u, w, v in zip(x, z, y)]),
     }
     for name, (got, want) in results.items():
         assert got.dtype == np.uint8, name
@@ -385,7 +377,7 @@ def test_scalar_array_forms_agree_with_scalar_ops(p, s):
     for row in rows.tolist():
         acc = 0
         for u, v in zip(row, z[:q]):
-            acc = sf.add(acc, sf.mul(u, v))
+            acc = ops.add(acc, ops.mul(u, v))
         want.append(acc)
     assert got.dtype == np.uint8
     assert got.tolist() == want
@@ -402,10 +394,13 @@ def test_context_validation():
         build_context(4, 1, 2)  # p not prime
     with pytest.raises(FieldError):
         build_context(2, 0, 3)
-    with pytest.raises(FieldError):
-        build_context(2, 1, 65)  # over the size policy
-    with pytest.raises(FieldError):
-        build_context(3, 1, 41)
+    # the 64-bit check comes before the base-field bound
+    for p, s, M in [(2, 1, 65), (3, 1, 41), (4099, 1, 6)]:
+        with pytest.raises(FieldError, match="exceeds the 64-bit size policy"):
+            build_context(p, s, M)
+    with pytest.raises(FieldError, match="base field too large"):
+        build_context(2**61 - 1, 1, 1)
+    assert build_context(4093, 1, 1).q == 4093 and build_context(2, 12, 1).q == 4096
 
 
 def test_irreducibility_verdict_matches_naive_oracle_at_degree_16():

@@ -9,15 +9,17 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 
-from abcode.orbit import (Ambient, NotOrbitClosed, check_restriction, coset,
+from abcode.gf import FieldError
+from abcode.orbit import (Ambient, NotOrbitClosed, as_int, coset,
                           from_orbit_reps, normalize_ordering, orbits, permute,
                           qorbit, restricted_reps, unpermute,
                           validate_defining_set)
 
-from orbit_fixtures import (hand_wired_reps, permuted, random_ambient,
-                            random_defining_set)
+from orbit_fixtures import (check_restriction, gamma_of, hand_wired_reps,
+                            permuted, random_ambient, random_defining_set)
 
 # ---------- oracles ----------
 
@@ -51,6 +53,47 @@ def test_ambient_validation():
         Ambient(2, ())
     with pytest.raises(ValueError):
         Ambient(2, (0, 3))
+
+
+def test_ambient_owns_the_validity_of_q():
+    with pytest.raises(ValueError, match="q = 6 is not a prime power"):
+        Ambient(6, (5,))
+    with pytest.raises(ValueError, match="q = 1000 is not a prime power"):
+        Ambient(1000, (3,))
+    with pytest.raises(FieldError, match="64-bit size policy"):
+        Ambient((1 << 64) + 1, (1,))
+    # the gcd check names the axis before q is factored
+    with pytest.raises(ValueError, match="gcd"):
+        Ambient(6, (3,))
+    for q, p, s in [(2, 2, 1), (4, 2, 2), (9, 3, 2), (4096, 2, 12), (4099, 4099, 1)]:
+        amb = Ambient(q, (1,))
+        assert (amb.p, amb.s) == (p, s)
+    assert repr(Ambient(4, (3, 5))) == "Ambient(q=4, r=(3, 5))"
+
+
+@pytest.mark.parametrize("q,r", [(2, (3.9, 7)), (2.5, (3,)), (2.0, (3,)),
+                                 (True, (3,)), (2, (True, 7)), ("2", (3,)),
+                                 (2, ("3", 7)), (2, (np.float64(3.0),))])
+def test_ambient_refuses_non_integers(q, r):
+    with pytest.raises(ValueError, match="must be an integer"):
+        Ambient(q, r)
+
+
+def test_ambient_reads_numpy_integers():
+    amb = Ambient(np.int64(2), (np.uint8(3), np.int32(7)))
+    assert amb == Ambient(2, (3, 7))
+    assert type(amb.q) is int and all(type(ri) is int for ri in amb.r)
+
+
+@pytest.mark.parametrize("value", [3, np.int16(3), np.uint64(3)])
+def test_as_int_takes_python_and_numpy_integers(value):
+    assert as_int(value, "x") == 3 and type(as_int(value, "x")) is int
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), 3.0, 0.5, "3", None, (3,)])
+def test_as_int_refuses_the_rest(value):
+    with pytest.raises(ValueError, match=r"^x must be an integer, not "):
+        as_int(value, "x")
 
 
 def test_ambient_indexing_roundtrip():
@@ -138,6 +181,11 @@ def test_validate_rejects_with_witness():
         validate_defining_set(amb, {(7,)})  # out of range
     with pytest.raises(ValueError):
         validate_defining_set(amb, {(1, 2)})  # wrong arity
+    amb = Ambient(2, (3, 5))
+    for members in ([(0.5, 0)], [(0, 0.0)], [(True, 0)], [("0", 0)]):
+        with pytest.raises(ValueError, match="index entry must be an integer"):
+            validate_defining_set(amb, members)
+    assert validate_defining_set(amb, [np.array([0, 0])]).members == {(0, 0)}
 
 
 def test_from_orbit_reps():
@@ -157,6 +205,11 @@ def test_normalize_ordering():
         normalize_ordering(2, (0, 2))
     with pytest.raises(ValueError):
         normalize_ordering(3, (0, 1))
+    with pytest.raises(ValueError, match="ordering entry must be an integer"):
+        normalize_ordering(2, [1.0, 0])
+    with pytest.raises(ValueError, match="ordering entry must be an integer"):
+        normalize_ordering(2, [True, 0])
+    assert normalize_ordering(2, np.array([1, 0])) == (1, 0)
 
 
 def test_permute_roundtrip():
@@ -208,7 +261,7 @@ def test_restricted_reps_m_table_consistent():
                 assert reps.m_table[prefix] == len(coset(
                     prefix[-1], moduli[i - 1], amb.q, gamma))
                 gamma *= reps.m_table[prefix]
-                assert reps.gamma(prefix) == gamma
+                assert gamma_of(reps, prefix) == gamma
             # full product is the joint orbit size
             assert gamma == len(qorbit(amb, unpermute(t, order)))
 
@@ -237,7 +290,7 @@ def test_default_reps_are_the_orbit_minima():
         reps = restricted_reps(D)
         orbs = D.orbits()
         assert list(reps.reps) == [orb[0] for orb in orbs] == D.orbit_reps()
-        assert [reps.gamma(t) for t in reps.reps] == [len(orb) for orb in orbs]
+        assert [gamma_of(reps, t) for t in reps.reps] == [len(orb) for orb in orbs]
 
 
 PINNED_REPS_DIGEST = (

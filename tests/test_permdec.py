@@ -26,6 +26,7 @@ from abcode.permdec import (PD_MODES, PDSet, SearchConstraints, design_report,
                             design_search, enumerate_lambda, is_pd_set,
                             lemma13_check, lemma15_check, permutation_decode,
                             translation_subgroup)
+from field_fixtures import Labels
 
 HAMMING = from_orbit_reps(Ambient(2, (7,)), [(1,)])
 TWO_AXIS_37 = from_orbit_reps(Ambient(2, (3, 7)), [(0, 3), (1, 1), (1, 3)])
@@ -45,13 +46,13 @@ TABLE_AMBIENTS = [Ambient(2, (1,)), Ambient(2, (7,)), Ambient(2, (1, 7)),
 
 def random_codeword(rng, code):
     G = generator_matrix(code)
-    sf = code.scalars
+    ops = Labels(code.scalars)
     vec = np.zeros(code.length, dtype=np.int64)
     for row in G.data:
-        c = rng.randrange(sf.q)
+        c = rng.randrange(ops.q)
         if c:
             for j in range(code.length):
-                vec[j] = sf.add(int(vec[j]), sf.mul(c, int(row[j])))
+                vec[j] = ops.add(int(vec[j]), ops.mul(c, int(row[j])))
     return vec
 
 
@@ -99,7 +100,7 @@ def served_by(table, info_idx, subset):
 def naive_decode(code, H_std, table, info_set, received, t):
     check_cols = [j for j, pos in enumerate(code.ambient.positions())
                   if pos not in info_set]
-    f = code.scalars
+    ops = Labels(code.scalars)
     for perm in table:
         y = np.empty_like(received)
         y[perm] = received
@@ -107,7 +108,7 @@ def naive_decode(code, H_std, table, info_set, received, t):
         if int(np.count_nonzero(syn)) <= t:
             c = y.copy()
             for i, col in enumerate(check_cols):
-                c[col] = f.sub(int(c[col]), int(syn[i]))
+                c[col] = ops.sub(int(c[col]), int(syn[i]))
             return c[perm]
     return None
 
@@ -273,6 +274,25 @@ def test_pd_set_budget_and_validation():
         is_pd_set(amb, translation_subgroup(amb), set(), 0)
     with pytest.raises(ValueError):
         PDSet((), 0, frozenset())
+
+
+def test_pd_set_refuses_more_errors_than_positions():
+    # no s-subset exists past s = l, so no verdict is a sound one
+    amb = Ambient(2, (3, 15))
+    info = build_gamma(from_orbit_reps(amb, [(0, 0)])).complement()
+    for s in (46, 50):
+        with pytest.raises(ValueError, match=f"s = {s} exceeds the length 45"):
+            is_pd_set(amb, enumerate_lambda(amb), info, s)
+    assert is_pd_set(amb, enumerate_lambda(amb), info, 45).ok is False
+    small = Ambient(2, (3,))
+    assert is_pd_set(small, translation_subgroup(small), set(), 3).ok
+
+
+@pytest.mark.parametrize("dim_exact", [10, 100])
+def test_design_search_refuses_more_errors_than_positions_up_front(dim_exact):
+    amb = Ambient(2, (3, 7))
+    with pytest.raises(ValueError, match="s = 22 exceeds the length 21"):
+        design_search(amb, SearchConstraints(dim_exact=dim_exact, pd_s=22))
 
 
 def test_pd_set_compares_by_identity():
