@@ -24,9 +24,9 @@ from .gamma import CheckSet, build_gamma
 from .orbit import (Ambient, DefiningSet, coset, from_orbit_reps,
                     normalize_ordering, orbits, unpermute, validate_defining_set)
 from .permdec import (PD_MODES, PD_SUBSET_BUDGET, SEARCH_BUDGET, PDSet,
-                      SearchConstraints, design_report, design_search,
-                      enumerate_lambda, is_pd_set, permutation_decode,
-                      translation_subgroup)
+                      SearchConstraints, check_pd_errors, design_report,
+                      design_search, enumerate_lambda, is_pd_set,
+                      permutation_decode, translation_subgroup)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -308,6 +308,7 @@ def cmd_mindist(spec: CodeSpec, args) -> int:
 
 
 def cmd_pdset(spec: CodeSpec, args) -> int:
+    check_pd_errors(spec.ambient.length, args.errors, args.budget)
     cs = _check_set(spec, args)
     elements = GROUPS[args.group](spec.ambient)
     res = is_pd_set(spec.ambient, elements, cs.complement(), args.errors,

@@ -449,29 +449,23 @@ def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> Distan
     raise ValueError(f"unknown method {method!r}")
 
 
-def distance_at_least(code: AbelianCode, d: int) -> bool:
-    """Decide d(C) >= d without necessarily resolving the exact distance.
-
-    Runs _bz_min until its bracket settles d either way.
-    """
-    if d <= 1 or code.dimension == 0:
-        return True
-    lower, _, _, _ = _bz_min(generator_matrix(code), decide_at_least=d)
-    return lower >= d
-
-
 def find_low_weight_codeword(code: AbelianCode, wmax: int):
     """A nonzero codeword of weight <= wmax, or None.
 
-    The decision of distance_at_least(code, wmax + 1), keeping its witness.
-    wmax is clamped to the length first: asked to decide d(C) > l, _bz_min
+    Runs _bz_min until its bracket settles d(C) > wmax either way.  wmax
+    is clamped to the length first: asked to decide d(C) > l, _bz_min
     would stop before it had seen any codeword.
     """
-    if code.dimension == 0:
+    if code.dimension == 0 or wmax < 1:
         return None
     _, upper, wit, _ = _bz_min(generator_matrix(code),
                                decide_at_least=min(wmax, code.length) + 1)
     return wit if upper <= wmax else None
+
+
+def distance_at_least(code: AbelianCode, d: int) -> bool:
+    """Decide d(C) >= d (true for the zero code) without resolving d(C)."""
+    return find_low_weight_codeword(code, d - 1) is None
 
 
 # ---------- encoding ----------
@@ -501,7 +495,7 @@ def encode(code: AbelianCode, cs: CheckSet, info_values) -> np.ndarray:
     H_std, check_cols = standard_form_parity(code, cs)
     f = code.scalars
     l = code.length
-    info = set(code.ambient.positions()) - set(cs.positions)
+    info = cs.complement()
     y = np.zeros(l, dtype=f.dtype)
     for pos, val in info_values.items():
         pos = tuple(pos)

@@ -55,8 +55,6 @@ def _poly_sub(a, b, p):
 
 
 def _poly_mul(a, b, p):
-    if not a or not b:
-        return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -125,8 +123,6 @@ def _is_irreducible(f, p):
 
 def _lowest_irreducible(p, d):
     """First monic irreducible of degree d, candidates ordered by integer encoding."""
-    if d == 1:
-        return [0, 1]
     for enc in range(p**d):
         f = [enc // p**i % p for i in range(d)] + [1]
         if _is_irreducible(f, p):

@@ -1,8 +1,9 @@
 """The number theory that field and code construction need.
 
 `isprime` is deterministic Miller-Rabin, `factorint` trial division
-followed by Pollard-Brent (Brent 1980, "An improved Monte Carlo
-factorization algorithm"), and `crt` the pairwise Chinese remainder map.
+followed by Pollard's rho with Floyd's cycle finding (Pollard 1975, "A
+Monte Carlo method for factorization"), and `crt` the pairwise Chinese
+remainder map.
 Callers pass p, q = p^s and the group orders p^deg - 1 of fields within
 the 64-bit size policy, so every input they factor is at most 2^64.
 """
@@ -44,31 +45,6 @@ def isprime(n: int) -> bool:
     return True
 
 
-def _brent(n: int, c: int) -> int:
-    """A divisor of composite n from the map y -> y^2 + c; n on failure."""
-    y, r, prod, g = 2, 1, 1, 1
-    batch = 128  # differences multiplied together per gcd
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(batch, r - k)):
-                y = (y * y + c) % n
-                prod = prod * (x - y) % n
-            g = math.gcd(prod, n)
-            k += batch
-        r *= 2
-    if g == n:  # the batch overshot: replay it one gcd at a time
-        g = 1
-        while g == 1:
-            ys = (ys * ys + c) % n
-            g = math.gcd(x - ys, n)
-    return g
-
-
 def _split(n: int, out: dict) -> None:
     """Add the prime factorization of n to out."""
     if n == 1:
@@ -81,8 +57,13 @@ def _split(n: int, out: dict) -> None:
         _split(root, out)
         _split(root, out)
         return
-    for c in itertools.count(1):
-        d = _brent(n, c)
+    for c in itertools.count(1):  # y -> y^2 + c; the next c when gcd is n
+        x, y, d = 2, 2, 1
+        while d == 1:  # Floyd: x takes one step per round, y two
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
         if d != n:
             break
     _split(d, out)

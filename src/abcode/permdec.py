@@ -111,12 +111,18 @@ class PDResult:
         return self.ok
 
 
-def _check_errors(l: int, s: int) -> None:
-    """An s-PD-set check needs 1 <= s <= l: past l there is no s-subset."""
+def check_pd_errors(l: int, s: int, budget: int) -> None:
+    """Refuse an s-PD-set check before any group table is built.
+
+    The check needs 1 <= s <= l, since past l there is no s-subset, and
+    walks all C(l, s) subsets, which must stay within the budget.
+    """
     if s < 1:
         raise ValueError("s must be at least 1")
     if s > l:
         raise ValueError(f"s = {s} exceeds the length {l}")
+    if math.comb(l, s) > budget:
+        raise ValueError(f"C({l}, {s}) exceeds the subset budget {budget}")
 
 
 def is_pd_set(amb: Ambient, elements, info_set, s: int,
@@ -130,9 +136,7 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
     prunes the walk.
     """
     l = amb.length
-    _check_errors(l, s)
-    if math.comb(l, s) > budget:
-        raise ValueError(f"C({l}, {s}) exceeds the subset budget {budget}")
+    check_pd_errors(l, s, budget)
     elements = _group_table(amb, elements)
     # served[x, g]: row g moves position x outside the information set
     served = ~_info_mask(amb, info_set)[elements.T]
@@ -205,18 +209,29 @@ def lemma15_check(code: AbelianCode, cs: CheckSet) -> bool:
 
 
 def _exhaustive_check(amb: Ambient, s: int):
-    _check_errors(amb.length, s)
+    check_pd_errors(amb.length, s, PD_SUBSET_BUDGET)
     lam = enumerate_lambda(amb)
     return lambda code, cs: bool(is_pd_set(amb, lam, cs.complement(), s))
 
 
-# pd_mode -> make(amb, s): refuses an ambient the mode cannot serve, else
-# returns the check(code, cs) design_search applies to each union.  Names
-# are looked up when called, so a wrapper installed later (the traced
-# benchmark wraps enumerate_lambda) still sees the call.
+def _lemma_check(name: str, check, capacity: int):
+    """make(amb, s) for a lemma stated for PD-sets of up to capacity errors."""
+    def make(amb: Ambient, s: int):
+        _require_two_axes(amb)
+        if s > capacity:
+            raise ValueError(f"pd_mode {name} certifies at most {capacity} "
+                             f"errors, not {s}")
+        return check
+    return make
+
+
+# pd_mode -> make(amb, s): refuses an ambient or an s the mode cannot
+# serve, else returns the check(code, cs) design_search applies to each
+# union.  The exhaustive mode looks enumerate_lambda up when called, so a
+# wrapper installed later (the traced benchmark installs one) sees the call.
 PD_MODES = {"exhaustive": _exhaustive_check,
-            "lemma13": lambda amb, s: _require_two_axes(amb) or lemma13_check,
-            "lemma15": lambda amb, s: _require_two_axes(amb) or lemma15_check}
+            "lemma13": _lemma_check("lemma13", lemma13_check, 2),
+            "lemma15": _lemma_check("lemma15", lemma15_check, 3)}
 
 
 # ---------- the decoding loop ----------

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import abcode.cli
 from abcode.cli import (EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, dump_spec,
                         load_spec, main, parse_spec)
 
@@ -85,7 +86,8 @@ defining_set:
   orbits: [1]
 """
 
-SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC_DIR = ROOT / "src"
 
 
 def write(tmp_path, text, name="code.yaml"):
@@ -609,6 +611,48 @@ def test_bad_input_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message
+
+
+@pytest.mark.parametrize("mode,capacity", [("lemma13", 2), ("lemma15", 3)])
+def test_lemma_modes_refuse_more_errors_than_their_lemma_serves(capsys, mode, capacity):
+    # Lemma 13 is stated for 2-PD-sets and Lemma 15 for 3-PD-sets; past
+    # that the check set meeting every orbit says nothing
+    path = str(ROOT / "bench" / "specs" / "c37.yaml")
+    for s in (capacity + 1, 9):
+        assert main(["search", path, "--dim-exact", "9", "--pd-errors", str(s),
+                     "--pd-mode", mode]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: pd_mode {mode} certifies at most "
+                                f"{capacity} errors, not {s}\n")
+    assert main(["search", path, "--dim-exact", "9", "--pd-errors",
+                 str(capacity), "--pd-mode", mode]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_pdset_refuses_an_over_budget_request_before_the_group_table(
+        tmp_path, capsys, monkeypatch):
+    # the lambda table of this ambient alone has 11 * 2047 rows of 2047
+    def no_table(amb):
+        raise AssertionError("group table built")
+
+    monkeypatch.setattr(abcode.cli, "enumerate_lambda", no_table)
+    path = write(tmp_path, "q: 2\nr: [2047]\ndefining_set:\n  orbits: [0]\n")
+    assert main(["pdset", path, "--errors", "2"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: C(2047, 2) exceeds the subset budget 2000000\n"
+
+
+def test_benchmark_cli_goldens_replay_in_process(capsys, monkeypatch):
+    # bench/goldens.json records the exit code and stdout bytes of each
+    # benchmark CLI call, made from the repository root
+    goldens = json.loads((ROOT / "bench" / "goldens.json").read_text())
+    assert len(goldens) == 9
+    monkeypatch.chdir(ROOT)
+    for name, golden in sorted(goldens.items()):
+        assert main(list(golden["argv"])) == golden["exit"], name
+        assert capsys.readouterr().out.encode() == golden["stdout"].encode(), name
 
 
 def test_one_defining_set_kind_closes_crt_residues():

@@ -336,7 +336,7 @@ def test_q_past_64_bits_is_refused_before_factoring(monkeypatch):
     def no_factoring(n):
         raise AssertionError(f"factored {n}")
     monkeypatch.setattr(abcode.orbit, "factorint", no_factoring)
-    q = (2**61 - 1) * (2**89 - 1)   # Pollard-Brent would need ~2^30 steps
+    q = (2**61 - 1) * (2**89 - 1)   # Pollard's rho would need ~2^30 steps
     with pytest.raises(FieldError, match="64-bit"):
         Ambient(q, (2,))
 
@@ -492,12 +492,27 @@ def test_distance_at_least_nonbinary_beyond_weight_five():
     assert not distance_at_least(code, 11)
 
 
-def test_distance_at_least_nonbinary_skips_support_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("support enumeration used for q > 2")
-
-    monkeypatch.setattr(abcode.code, "find_low_weight_codeword", refuse)
-    assert distance_at_least(AbelianCode(C358), 5)
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_distance_at_least_is_the_negated_low_weight_search(q):
+    # one decision answers both questions, for every d from below 1 to
+    # past the length, and it agrees with full enumeration
+    rng = random.Random(44)
+    trials = 0
+    while trials < 10:
+        r = tuple(rng.choice([v for v in range(1, 14) if math.gcd(v, q) == 1])
+                  for _ in range(rng.randint(1, 2)))
+        amb = Ambient(q, r)
+        members = frozenset(m for o in orbits(amb) if rng.random() < 0.5 for m in o)
+        code = AbelianCode(DefiningSet(amb, members))
+        if not 3 <= amb.length <= 30 or q**code.dimension > 1 << 12:
+            continue
+        l = amb.length
+        upper = min_distance(code, method="full").upper if code.dimension else l + 3
+        for d in range(-1, l + 3):
+            assert (distance_at_least(code, d)
+                    == (find_low_weight_codeword(code, d - 1) is None)
+                    == (d <= upper)), (code, d)
+        trials += 1
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -10,9 +10,10 @@ import itertools
 import math
 import random
 
+from abcode.code import AbelianCode, verify_check_positions
 from abcode.gamma import build_gamma, compute_fg
-from abcode.orbit import (Ambient, DefiningSet, qorbit, restricted_reps,
-                          unpermute, validate_defining_set)
+from abcode.orbit import (Ambient, DefiningSet, orbits, qorbit,
+                          restricted_reps, unpermute, validate_defining_set)
 
 from orbit_fixtures import (check_restriction, gamma_of, hand_wired_reps,
                             permuted, random_ambient, random_defining_set)
@@ -246,6 +247,55 @@ def test_gamma_tables_match_orbit_sizes():
         assert reps.m_table == recomputed.m_table
         for t in reps.reps:
             assert gamma_of(reps, t) == len(qorbit(amb, unpermute(t, order)))
+
+
+def small_ambients(qs=(2, 3, 4, 5, 7, 8, 9), max_len=7, max_axes=3):
+    """Every ambient of the exhaustive slice, in a fixed order.
+
+    At most max_axes axes, gcd(r_i, q) = 1, length at most max_len, and
+    r_i >= 2 on every axis once there are two or more.
+    """
+    out = []
+    for q in qs:
+        for n in range(1, max_axes + 1):
+            lo = 1 if n == 1 else 2
+            for r in itertools.product(range(lo, max_len + 1), repeat=n):
+                if math.prod(r) <= max_len and all(math.gcd(v, q) == 1 for v in r):
+                    out.append(Ambient(q, r))
+    return out
+
+
+def test_construction_on_every_small_abelian_code():
+    """Gamma on every orbit union of every ambient in the slice.
+
+    The slice: q in {2, 3, 4, 5, 7, 8, 9}, at most three axes, coprime
+    r_i, l <= 7, and r_i >= 2 on every axis when there are two or more:
+    42 ambients, 602 orbit unions, 826 (union, axis ordering) pairs.  For
+    each pair, Gamma from the default representatives and from two seeded
+    choices (2 478 builds) has |D| positions, passes
+    verify_check_positions, and is the same set each time.  This takes under a second; l <= 8 (about 9 s) or
+    r_i = 1 axes (about 8 s) belong in a benchmark workload instead.
+    """
+    ambients = small_ambients()
+    assert len(ambients) == 42
+    unions = 0
+    for amb in ambients:
+        orbs = orbits(amb)
+        for pick in itertools.product((False, True), repeat=len(orbs)):
+            D = DefiningSet(amb, frozenset(
+                m for o, chosen in zip(orbs, pick) if chosen for m in o))
+            code = AbelianCode(D)
+            unions += 1
+            for order in itertools.permutations(range(amb.n)):
+                first = None
+                for seed in (None, 1, 2):
+                    cs = build_gamma(D, ordering=order, rng=None if seed is None
+                                     else random.Random(seed))
+                    assert len(cs) == len(D), (D, order, seed)
+                    assert verify_check_positions(code, cs), (D, order, seed)
+                    first = cs.positions if first is None else first
+                    assert cs.positions == first, (D, order, seed)
+    assert unions == 602
 
 
 def test_gamma_matches_the_tree_free_oracle():

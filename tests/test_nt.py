@@ -71,6 +71,13 @@ def test_factorint_prime_powers_and_units(n):
     assert list(factorint(n)) == sorted(factorint(n))
 
 
+@pytest.mark.parametrize("n", [1009 * 1709, 1031 * 2389])
+def test_factorint_moves_on_when_the_rho_cycle_closes_on_n(n):
+    # past trial division, y -> y^2 + 1 from 2 meets both factors in the
+    # same round, so the gcd is n itself; 1031 * 2389 fails for c = 2 too
+    assert factorint(n) == sympy.factorint(n)
+
+
 def test_factorint_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorint(0)

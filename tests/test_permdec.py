@@ -549,6 +549,42 @@ def test_design_search_refuses_lemma_modes_off_two_axes_up_front(mode, dim_exact
                                              pd_mode=mode))
 
 
+def test_design_search_refuses_an_over_budget_pd_request_up_front(monkeypatch):
+    # refused before the group table is built and before any orbit union
+    # is decided: C(45, 6) exceeds the subset budget, and 46 the length
+    def refuse(*args):
+        raise AssertionError("work done before the PD request was checked")
+
+    for name in ("enumerate_lambda", "distance_at_least", "build_gamma"):
+        monkeypatch.setattr(abcode.permdec, name, refuse)
+    amb = Ambient(2, (5, 9))
+    with pytest.raises(ValueError, match=r"C\(45, 6\) exceeds the subset budget"):
+        design_search(amb, SearchConstraints(d_min=3, pd_s=6))
+    with pytest.raises(ValueError, match="s = 46 exceeds the length 45"):
+        design_search(amb, SearchConstraints(d_min=3, pd_s=46))
+
+
+@pytest.mark.parametrize("q,r", [(2, (3, 7)), (2, (3, 5)), (2, (5, 9)),
+                                 (4, (3, 5)), (3, (4, 5)), (2, (5, 13))])
+def test_lemma_claims_within_capacity_are_pd_sets(q, r):
+    # every orbit union: where Lemma 13 (capacity 2) or Lemma 15 (capacity
+    # 3) holds, the exhaustive check agrees.  An s-PD-set serves every
+    # smaller error count too, so checking at the capacity suffices.
+    amb = Ambient(q, r)
+    lam = enumerate_lambda(amb)
+    orbs = orbits(amb)
+    claims = 0
+    for pick in itertools.product((False, True), repeat=len(orbs)):
+        D = DefiningSet(amb, frozenset(
+            m for o, chosen in zip(orbs, pick) if chosen for m in o))
+        code, cs = AbelianCode(D), build_gamma(D)
+        for check, s in ((lemma13_check, 2), (lemma15_check, 3)):
+            if check(code, cs):
+                claims += 1
+                assert is_pd_set(amb, lam, cs.complement(), s), (D, s)
+    assert claims
+
+
 def test_pd_modes_dispatch_through_the_table(monkeypatch):
     assert set(PD_MODES) == {"exhaustive", "lemma13", "lemma15"}
     amb = Ambient(2, (3, 7))
