@@ -323,15 +323,13 @@ class ScalarField:
     """The base field F_q of a context, acting on integer label arrays.
 
     Labels follow the same encoding as subfield_coords.  Addition is
-    digitwise mod p; products go through the ambient context's powers of
-    eta.  Both are tabulated once per field for s > 1.
-
+    digitwise mod p, so XOR for p = 2; products go through the ambient
+    context's powers of eta.  Other ops with s > 1 read tables built once.
     add, neg, sub and mul take a label array a (and b, an array
     broadcastable with it or one label) and return an array of a's dtype;
-    submul and dot are the fused forms the matrix kernels need, and inv
-    takes one label.  For s = 1 every op is integer arithmetic mod p,
-    otherwise a lookup in the tables.  Elementwise the s = 1 arrays run in
-    int32, which holds p^2 because the context bounds q; dot sums in int64.
+    dot fuses mul with a row sum, and inv takes one label.  For s = 1 add
+    sums in an unsigned type holding 2p - 2, mul and neg in int32, which
+    holds p^2 as the context bounds q, and dot in int64.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -343,14 +341,18 @@ class ScalarField:
         self._tables = None
 
     def add(self, a, b):
+        if self.p == 2:
+            return np.bitwise_xor(a, b).astype(a.dtype, copy=False)
         if self.s > 1:
             return self.tables()[0][a, b].astype(a.dtype, copy=False)
-        return self._mod_p(np.add(a, b, dtype=np.int32), a.dtype)
+        # in an unsigned type t - p wraps above t exactly when t < p
+        t = np.add(a, b, dtype=np.uint8 if self.p < 128 else np.uint16, casting="unsafe")
+        return np.minimum(t, t - self.p, out=t).astype(a.dtype, copy=False)
 
     def neg(self, a):
         if self.s > 1:
             return self.tables()[2][a].astype(a.dtype, copy=False)
-        return self._mod_p(np.subtract(self.p, a, dtype=np.int32), a.dtype)
+        return (np.subtract(self.p, a, dtype=np.int32) % self.p).astype(a.dtype)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -358,24 +360,12 @@ class ScalarField:
     def mul(self, a, b):
         if self.s > 1:
             return self.tables()[1][a, b].astype(a.dtype, copy=False)
-        return self._mod_p(np.multiply(a, b, dtype=np.int32), a.dtype)
-
-    def submul(self, a, c, b):
-        """a - c * b for label arrays (broadcast), in a's dtype.
-
-        One fused op, so that a row-elimination step costs one integer pass
-        for s = 1.
-        """
-        if self.s == 1:
-            t = np.multiply(c, b, dtype=np.int32)
-            return self._mod_p(np.subtract(a, t, out=t), a.dtype)
-        add_t, mul_t, neg_t, _, _ = self.tables()
-        return add_t[a, mul_t[neg_t[c], b]].astype(a.dtype, copy=False)
+        return (np.multiply(a, b, dtype=np.int32) % self.p).astype(a.dtype)
 
     def dot(self, a, b):
         """Sum over j of a[..., j] * b[j] for label arrays, in a's dtype."""
         if self.s == 1:
-            return self._mod_p(np.matmul(a, b, dtype=np.int64), a.dtype)
+            return (np.matmul(a, b, dtype=np.int64) % self.p).astype(a.dtype)
         # labels add digit by digit mod p, so each base-p digit sums alone
         prods = self.tables()[1][a, b].astype(np.int64)
         p, out, w = self.p, 0, 1
@@ -391,11 +381,6 @@ class ScalarField:
             return pow(a, -1, self.p)
         _, _, _, log, exp = self.tables()
         return int(exp[(-log[a]) % (self.q - 1)])
-
-    def _mod_p(self, t, dtype):
-        """Reduce an integer array in place mod p and return it as dtype."""
-        t %= self.p
-        return t.astype(dtype)
 
     def tables(self):
         """(add_table, mul_table, neg_table, log, exp) as numpy label arrays.
@@ -445,6 +430,8 @@ class MatrixGF:
 
         col_order restricts and orders the pivot search; columns not listed
         are never used as pivots.  Over F_2 the rows are reduced bit-packed.
+        Otherwise a pivot is one whole-matrix update: each row adds the
+        multiple of the negated pivot row that its pivot-column entry picks.
         """
         f = self.field
         m, n = self.data.shape
@@ -468,10 +455,13 @@ class MatrixGF:
             inv = f.inv(int(A[row, col]))
             if inv != 1:
                 A[row] = f.mul(A[row], inv)
-            others = np.nonzero(A[:, col])[0]
-            others = others[others != row]
-            if others.size:
-                A[others] = f.submul(A[others], A[others, col][:, None], A[row])
+            fac = A[:, col].copy()
+            fac[row] = 0
+            if fac.any():
+                factors = np.arange(f.q, dtype=A.dtype)
+                if f.q > m:  # tabulate only the factors that occur
+                    factors, fac = np.unique(fac, return_inverse=True)
+                A = f.add(A, f.mul(factors[:, None], f.neg(A[row]))[fac])
             pivots.append(col)
         return MatrixGF(f, A), pivots
 

@@ -2,8 +2,8 @@
 
 `isprime` is deterministic Miller-Rabin, `factorint` trial division
 followed by Pollard's rho with Floyd's cycle finding (Pollard 1975, "A
-Monte Carlo method for factorization"), and `crt` the pairwise Chinese
-remainder map.
+Monte Carlo method for factorization"), `prime_power` splits q = p^s
+without factoring, and `crt` is the pairwise Chinese remainder map.
 Callers pass p, q = p^s and the group orders p^deg - 1 of fields within
 the 64-bit size policy, so every input they factor is at most 2^64.
 """
@@ -83,6 +83,16 @@ def factorint(n: int) -> dict:
             n //= p
     _split(n, out)
     return dict(sorted(out.items()))
+
+
+def prime_power(q: int):
+    """(p, s) with q = p^s and p prime, or None, for 2 <= q <= 2^64; each
+    s >= 2 tries the rounded float s-th root, exact for q this small."""
+    for s in range(1, q.bit_length()):
+        p = q if s == 1 else round(q ** (1 / s))
+        if p**s == q and isprime(p):
+            return p, s
+    return None
 
 
 def crt(moduli, residues) -> int:

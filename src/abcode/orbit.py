@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .gf import MAX_FIELD_BITS, FieldError
-from .nt import factorint
+from .nt import prime_power
 
 
 class NotOrbitClosed(ValueError):
@@ -69,13 +69,13 @@ class Ambient:
                 raise ValueError("moduli must be positive")
             if math.gcd(ri, q) != 1:
                 raise ValueError(f"gcd(r_i, q) must be 1, got r_i={ri}, q={q}")
-        # no field past the size policy gets built, and factoring such q may not end
+        # no field past the size policy gets built; prime_power assumes q <= 2^64
         if q > 1 << MAX_FIELD_BITS:
             raise FieldError(f"q = {q} exceeds the {MAX_FIELD_BITS}-bit size policy")
-        fac = factorint(q)
-        if len(fac) != 1:
+        split = prime_power(q)
+        if split is None:
             raise ValueError(f"q = {q} is not a prime power")
-        ((p, s),) = fac.items()
+        p, s = split
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
 

@@ -7,6 +7,7 @@ randomized code suite feeds criteria 6 and 7, the two length-45 batteries
 feed criteria 8, 11 and 12, and the length-65 battery feeds 10 and 12.
 """
 
+import hashlib
 import math
 import random
 from functools import lru_cache
@@ -148,8 +149,9 @@ def random_code_suite():
         rows.append(SimpleNamespace(
             q=q, r=r, ordering=ordering, dsize=len(members),
             length=amb.length, gamma_size=len(cs.positions),
-            verify_ok=res.ok, verify_reason=res.reason, invariant=invariant,
-            dim=code.dimension, gen_rank=generator_matrix(code).rank()))
+            verify_ok=res.ok, verify_reason=res.reason, verify_rank=res.rank,
+            invariant=invariant, dim=code.dimension,
+            gen_rank=generator_matrix(code).rank(), code=code, cs=cs))
     return tuple(rows)
 
 
@@ -410,6 +412,25 @@ def test_criterion_07_dimension_equals_generator_rank_on_the_suite():
     emit(7, failures,
          f"dimension equals generator rank (= length - |defining set|) on "
          f"all {len(rows)} codes of the random suite")
+
+
+# recorded with the row-by-row elimination kernel that the whole-matrix
+# update per pivot replaced; every rref the suite makes stays byte-identical
+SUITE_KERNEL_DIGEST = (
+    "09af2a6921cb20e8e3a188c477c7f2318845ff73e633e5b208551cccdf0f4872")
+
+
+def test_suite_kernel_outputs_are_pinned():
+    # generator rows, verification ranks and standard-form parity rows of
+    # criterion 06's codes: nullspace, plain rref and col_order rref
+    h = hashlib.sha256()
+    for row in random_code_suite():
+        G = generator_matrix(row.code)
+        S, cols = standard_form_parity(row.code, row.cs)
+        h.update(repr((G.shape, row.verify_rank, S.shape, cols)).encode())
+        h.update(G.data.tobytes())
+        h.update(S.data.tobytes())
+    assert h.hexdigest() == SUITE_KERNEL_DIGEST
 
 
 def test_criterion_08_length_45_two_error_codes():

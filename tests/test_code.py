@@ -75,7 +75,7 @@ def naive_rref(sf: ScalarField, data, col_order):
                 rows[i] = [ops.sub(v, ops.mul(c, w)) for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
         r += 1
-    return [row for row in rows if any(row)], pivots
+    return rows, pivots
 
 
 def naive_mul_vec(sf, data, vec):
@@ -133,7 +133,8 @@ FIELD_SIZES = (2, 3, 4, 5, 8, 9)
 
 
 def scalar_field(q):
-    p, s = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2)}[q]
+    p, s = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 8: (2, 3), 9: (3, 2),
+            16: (2, 4), 256: (2, 8)}[q]
     return ScalarField(build_context(p, s, 1))
 
 
@@ -156,26 +157,44 @@ def shapes(rng, mmax, nmax):
     yield from WIDE_SHAPES
 
 
-@pytest.mark.parametrize("q", FIELD_SIZES)
+# more rows than columns, so rows past the last pivot remain; 20 and 40
+# rows reach past q = 16
+TALL_SHAPES = ((9, 4), (20, 6), (40, 9))
+
+
+def col_orders(rng, n):
+    """A full order (identity or shuffled), a strict subset in random
+    order, and no column at all."""
+    full = list(range(n))
+    if rng.random() < 0.5:
+        rng.shuffle(full)
+    return full, rng.sample(range(n), rng.randrange(n)), []
+
+
+@pytest.mark.parametrize("q", FIELD_SIZES + (16, 256))
 def test_rref_matches_naive(q):
+    # the label kernel tabulates the pivot row's multiples by every label
+    # when q is at most the row count and by the factors present otherwise:
+    # q = 16 runs both, q = 256 only the second
     sf = scalar_field(q)
     rng = random.Random(31)
-    for m, n in shapes(rng, 6, 8):
+    for m, n in [*shapes(rng, 6, 8), *TALL_SHAPES]:
         data = random_matrix(rng, q, (m, n))
-        cols = list(range(n))
-        if rng.random() < 0.5:
-            rng.shuffle(cols)
+        if rng.random() < 0.3:
+            data[np.array([[rng.random() < 0.6 for _ in range(n)]
+                           for _ in range(m)])] = 0
         M = MatrixGF(sf, data.copy())
-        R, pivots = M.rref(col_order=cols)
-        want_rows, want_pivots = naive_rref(sf, data, cols)
-        assert list(pivots) == want_pivots
-        assert M.rank() == len(want_pivots)
-        got = [list(map(int, row)) for row in R.data if any(row)]
-        assert got == want_rows
-        # reduction is idempotent
-        R2, p2 = R.rref(col_order=cols)
-        assert np.array_equal(R2.data[:len(got)], R.data[:len(got)])
-        assert list(p2) == want_pivots
+        for cols in col_orders(rng, n):
+            R, pivots = M.rref(col_order=cols)
+            want_rows, want_pivots = naive_rref(sf, data, cols)
+            assert list(pivots) == want_pivots
+            # every row in order: rows past the last pivot are read too
+            assert R.data.tolist() == want_rows
+            # reduction is idempotent
+            R2, p2 = R.rref(col_order=cols)
+            assert np.array_equal(R2.data, R.data)
+            assert list(p2) == want_pivots
+        assert M.rank() == len(naive_rref(sf, data, range(n))[1])
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -332,10 +351,11 @@ def test_field_past_64_bits_is_refused():
 
 
 def test_q_past_64_bits_is_refused_before_factoring(monkeypatch):
-    # the ambient owns q's validity, so the refusal comes before any code
-    def no_factoring(n):
-        raise AssertionError(f"factored {n}")
-    monkeypatch.setattr(abcode.orbit, "factorint", no_factoring)
+    # the ambient owns q's validity, so the refusal comes before any code,
+    # and before the prime-power test, whose float roots assume q <= 2^64
+    def no_split(n):
+        raise AssertionError(f"split {n}")
+    monkeypatch.setattr(abcode.orbit, "prime_power", no_split)
     q = (2**61 - 1) * (2**89 - 1)   # Pollard's rho would need ~2^30 steps
     with pytest.raises(FieldError, match="64-bit"):
         Ambient(q, (2,))

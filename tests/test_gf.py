@@ -365,8 +365,6 @@ def test_scalar_array_forms_agree_with_scalar_ops(p, s):
         "mul by one label": (sf.mul(a, q - 1), [ops.mul(u, q - 1) for u in x]),
         "neg": (sf.neg(a), [ops.neg(u) for u in x]),
         "sub": (sf.sub(a, b), [ops.sub(u, v) for u, v in zip(x, y)]),
-        "submul": (sf.submul(a, c, b),
-                   [ops.sub(u, ops.mul(w, v)) for u, w, v in zip(x, z, y)]),
     }
     for name, (got, want) in results.items():
         assert got.dtype == np.uint8, name
@@ -381,6 +379,22 @@ def test_scalar_array_forms_agree_with_scalar_ops(p, s):
         want.append(acc)
     assert got.dtype == np.uint8
     assert got.tolist() == want
+
+
+@pytest.mark.parametrize("p", [127, 131, 251, 257, 4093])
+def test_prime_field_add_where_label_sums_leave_one_byte(p):
+    # sums of labels reach 2p - 2: one byte holds them up to p = 127, and
+    # from p = 131 they are formed wider although uint8 still holds labels
+    sf = ScalarField(build_context(p, 1, 1))
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, p, (2, 20_000)).astype(sf.dtype)
+    a[:p], b[:p] = np.arange(p), p - 1          # every a + (p - 1)
+    want = ((a.astype(np.int64) + b) % p).tolist()
+    for other in (b, b.astype(np.int64)):
+        got = sf.add(a, other)
+        assert got.dtype == sf.dtype
+        assert got.tolist() == want
+    assert sf.add(a, p - 1).tolist() == ((a.astype(np.int64) + p - 1) % p).tolist()
 
 
 def test_scalar_zero_has_no_inverse():

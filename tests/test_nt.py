@@ -1,4 +1,4 @@
-"""Number theory: isprime, factorint and crt against sympy as the oracle."""
+"""Number theory: isprime, factorint, prime_power and crt against sympy as the oracle."""
 
 import math
 import random
@@ -9,7 +9,7 @@ import sympy
 from sympy.ntheory.modular import crt as sympy_crt
 
 from abcode.gf import MAX_FIELD_BITS
-from abcode.nt import crt, factorint, isprime
+from abcode.nt import crt, factorint, isprime, prime_power
 
 # Composites below 2^64 that weak tests call prime: Carmichael numbers;
 # strong pseudoprimes to base 2 and to bases 2 and 3; the smallest strong
@@ -81,6 +81,24 @@ def test_factorint_moves_on_when_the_rho_cycle_closes_on_n(n):
 def test_factorint_rejects_nonpositive():
     with pytest.raises(ValueError):
         factorint(0)
+
+
+def test_prime_power_splits_as_factorint_does():
+    count = 0
+    for p in sympy.primerange(5000):
+        s = 1
+        while p**s <= 1 << MAX_FIELD_BITS:
+            assert prime_power(p**s) == (p, s) == next(iter(factorint(p**s).items()))
+            count += 1
+            s += 1
+    assert count == 3968
+
+
+@pytest.mark.parametrize("n", [
+    6, 12, 1000, 2**64 - 1, 3**20 * 2, 1009**3 * 1013**2, 4294967291 * 4294967279,
+])
+def test_prime_power_refuses_other_integers(n):
+    assert prime_power(n) is None
 
 
 def coprime_moduli(rng, count):

@@ -11,6 +11,7 @@ import random
 
 import numpy as np
 import pytest
+import sympy
 
 from abcode.gf import FieldError
 from abcode.orbit import (Ambient, NotOrbitClosed, as_int, coset,
@@ -69,6 +70,15 @@ def test_ambient_owns_the_validity_of_q():
         amb = Ambient(q, (1,))
         assert (amb.p, amb.s) == (p, s)
     assert repr(Ambient(4, (3, 5))) == "Ambient(q=4, r=(3, 5))"
+
+
+def test_ambient_refuses_products_of_two_32_bit_primes():
+    # no trial divisor splits these; the prime-power test takes roots instead
+    rng = random.Random(32)
+    for _ in range(20):
+        a, b = (sympy.nextprime(rng.getrandbits(32) | 1 << 31) for _ in range(2))
+        with pytest.raises(ValueError, match=f"q = {a * b} is not a prime power"):
+            Ambient(a * b, (1,))
 
 
 @pytest.mark.parametrize("q,r", [(2, (3.9, 7)), (2.5, (3,)), (2.0, (3,)),
