@@ -21,12 +21,15 @@ from typing import Optional
 import numpy as np
 
 from .gamma import CheckSet
-from .gf import (MatrixGF, ScalarField, _unpack_rows, build_context,
-                 root_of_unity, subfield_coords)
+from .gf import (FieldError, MatrixGF, ScalarField, _unpack_rows,
+                 build_context, root_of_unity, subfield_coords)
 from .orbit import DefiningSet, frobenius_order
 
 _FULL_ENUM_LIMIT = 1 << 20
 _GRAY_MAX_K = 28
+# evaluations a find_low_weight_codeword decision may spend: a few seconds
+# over F_3, and about 100 times the 10 700 of the largest the tests make
+_DECIDE_BUDGET = 10**6
 
 
 # ---------- the code itself ----------
@@ -57,44 +60,34 @@ class AbelianCode:
                 f"|D|={len(self.defining)}, k={self.dimension})")
 
 
-def _beta_powers(code: AbelianCode):
-    """(L, deg) digit rows of beta^0, ..., beta^(L-1), beta of order L = lcm(r).
-
-    alpha_i = beta^(L / r_i), so every product of root powers is a power of
-    beta, and L is at most the length.
-    """
-    L = math.lcm(*code.ambient.r)
-    return code.ctx.powers(root_of_unity(code.ctx, L), L)
-
-
-def _exponents(code: AbelianCode, e) -> np.ndarray:
-    """k_j = sum_i (L / r_i) e_i j_i mod L for every position j.
-
-    prod_i alpha_i^(e_i j_i) = beta^(k_j); positions run in
-    Ambient.positions() order, the last axis fastest.
-    """
-    r = code.ambient.r
-    L = math.lcm(*r)
-    c = np.array([L // ri * ei % L for ri, ei in zip(r, e)], dtype=np.int64)
-    return c @ np.indices(r).reshape(len(r), -1) % L
-
-
 def check_tensor(code: AbelianCode) -> np.ndarray:
     """The check tensor as a (|D|, l) label array.
 
     Each q-orbit of D, of size d, owns a block of d rows, built from its
-    least element; the blocks follow the orbits' least elements.  Every
-    entry of a block is a power beta^k, so each block takes one
-    subfield_coords call on the distinct powers that occur and gathers the
-    columns from its result.  parity_matrix caches the result.
+    least element e; the blocks follow the orbits' least elements.  With
+    beta the root of unity of order L = lcm(r) and alpha_i = beta^(L / r_i),
+    the entry at position j is beta^k, k = sum_i (L / r_i) e_i j_i mod L.
+    beta^k lies in F_{q^d} exactly when step = L / gcd(L, q^d - 1) divides
+    k, so each orbit size d takes one subfield_coords call on beta^0,
+    beta^step, ..., and every block of that size gathers its columns from
+    the result.  parity_matrix caches the tensor.
     """
+    amb, ctx = code.ambient, code.ctx
+    L = math.lcm(*amb.r)
+    powers = ctx.powers(root_of_unity(ctx, L), L)
+    grid = np.indices(amb.r).reshape(amb.n, -1)
+    coords = {}
     mat = np.zeros((len(code.defining), code.length), dtype=code.scalars.dtype)
-    powers = _beta_powers(code)
     off = 0
     for orb in code.defining.orbits():
         d = len(orb)
-        ks, where = np.unique(_exponents(code, orb[0]), return_inverse=True)
-        mat[off:off + d] = subfield_coords(code.ctx, powers[ks], d)[where].T
+        step = L // math.gcd(L, amb.q**d - 1)
+        k = np.array([L // ri * ei for ri, ei in zip(amb.r, orb[0])]) @ grid % L
+        if np.any(k % step):
+            raise FieldError(f"element is not in F_{{q^{d}}}")
+        if d not in coords:
+            coords[d] = subfield_coords(ctx, powers[::step], d)
+        mat[off:off + d] = coords[d][k // step].T
         off += d
     return mat
 
@@ -452,14 +445,19 @@ def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> Distan
 def find_low_weight_codeword(code: AbelianCode, wmax: int):
     """A nonzero codeword of weight <= wmax, or None.
 
-    Runs _bz_min until its bracket settles d(C) > wmax either way.  wmax
-    is clamped to the length first: asked to decide d(C) > l, _bz_min
-    would stop before it had seen any codeword.
+    Runs _bz_min, within _DECIDE_BUDGET evaluations, until its bracket
+    settles d(C) > wmax either way, and raises ValueError if the budget
+    runs out first.  wmax is clamped to the length first: asked to decide
+    d(C) > l, _bz_min would stop before it had seen any codeword.
     """
     if code.dimension == 0 or wmax < 1:
         return None
-    _, upper, wit, _ = _bz_min(generator_matrix(code),
-                               decide_at_least=min(wmax, code.length) + 1)
+    at_least = min(wmax, code.length) + 1
+    lower, upper, wit, _ = _bz_min(generator_matrix(code), budget=_DECIDE_BUDGET,
+                                   decide_at_least=at_least)
+    if lower < at_least and (wit is None or upper > wmax):
+        raise ValueError(f"deciding d(C) > {wmax} takes more than "
+                         f"{_DECIDE_BUDGET} evaluations")
     return wit if upper <= wmax else None
 
 

@@ -324,11 +324,12 @@ class ScalarField:
 
     Labels follow the same encoding as subfield_coords.  Addition is
     digitwise mod p, so XOR for p = 2; products go through the ambient
-    context's powers of eta.  Other ops with s > 1 read tables built once.
-    add, neg, sub and mul take a label array a (and b, an array
-    broadcastable with it or one label) and return an array of a's dtype;
-    dot fuses mul with a row sum, and inv takes one label.  For s = 1 add
-    sums in an unsigned type holding 2p - 2, mul and neg in int32, which
+    context's powers of eta, and -a is a times the label p - 1, which is
+    -1 in F_p.  With s > 1, products and, for odd p, sums read tables
+    built once.  add, neg, sub and mul take a label array a (and b, an
+    array broadcastable with it or one label) and return an array of a's
+    dtype; dot fuses mul with a row sum, and inv takes one label.  For
+    s = 1 add sums in an unsigned type holding 2p - 2, mul in int32, which
     holds p^2 as the context bounds q, and dot in int64.
     """
 
@@ -350,9 +351,7 @@ class ScalarField:
         return np.minimum(t, t - self.p, out=t).astype(a.dtype, copy=False)
 
     def neg(self, a):
-        if self.s > 1:
-            return self.tables()[2][a].astype(a.dtype, copy=False)
-        return (np.subtract(self.p, a, dtype=np.int32) % self.p).astype(a.dtype)
+        return self.mul(a, self.p - 1)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -379,14 +378,15 @@ class ScalarField:
             raise FieldError("division by zero")
         if self.s == 1:
             return pow(a, -1, self.p)
-        _, _, _, log, exp = self.tables()
+        _, _, log, exp = self.tables()
         return int(exp[(-log[a]) % (self.q - 1)])
 
     def tables(self):
-        """(add_table, mul_table, neg_table, log, exp) as numpy label arrays.
+        """(add_table, mul_table, log, exp) as numpy label arrays.
 
-        Labels add digit by digit, so the add table is built one q x q pass
-        per base-p digit; products of nonzero labels add their logs.
+        add_table is None unless p is odd and s > 1, the one case add reads
+        it; labels add digit by digit, so it is built one q x q pass per
+        base-p digit.  Products of nonzero labels add their logs.
         """
         if self._tables is None:
             q, p, dtype = self.q, self.p, self.dtype
@@ -394,17 +394,17 @@ class ScalarField:
             exp = exp[:, 0].astype(dtype)
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
-            add_table = np.zeros((q, q), dtype=dtype)
-            neg_table = np.zeros(q, dtype=dtype)
-            # uint16 holds 2 (p - 1) and every label, as q <= 4096
-            labels = np.arange(q, dtype=np.uint16)
-            for j in range(self.s):
-                digit = labels // p**j % p
-                add_table += np.add.outer(digit, digit) % p * p**j
-                neg_table += (p - digit) % p * p**j
+            add_table = None
+            if p > 2 and self.s > 1:
+                add_table = np.zeros((q, q), dtype=dtype)
+                # uint16 holds 2 (p - 1) and every label, as q <= 4096
+                labels = np.arange(q, dtype=np.uint16)
+                for j in range(self.s):
+                    digit = labels // p**j % p
+                    add_table += np.add.outer(digit, digit) % p * p**j
             mul_table = exp[np.add.outer(log, log) % (q - 1)]
             mul_table[0] = mul_table[:, 0] = 0
-            self._tables = (add_table, mul_table, neg_table, log, exp)
+            self._tables = (add_table, mul_table, log, exp)
         return self._tables
 
     def __repr__(self):

@@ -1,36 +1,55 @@
 """Scalar arithmetic for the test oracles, apart from the label-array
-kernels they check: one label at a time, plain residues mod p when s = 1
-and a read of ScalarField.tables() when s > 1; and digit tuples of the
-context, added digitwise mod p and multiplied with FieldContext.mul."""
+kernels they check: one label at a time, summed and negated digit by
+digit mod p, and multiplied as residues mod p when s = 1 and through
+logs to the base eta, found with FieldContext.mul, otherwise; and digit
+tuples of the context, added digitwise mod p and multiplied with
+FieldContext.mul."""
+
+import functools
 
 
 class Labels:
     """add, sub, neg, mul and inv on single int labels of a ScalarField."""
 
     def __init__(self, sf):
-        self.p, self.q = sf.p, sf.q
-        self._tables = None if sf.s == 1 else [t.tolist() for t in sf.tables()[:3]]
+        self.p, self.s, self.q = sf.p, sf.s, sf.q
+        if self.s > 1:
+            self._exp, self._log = _eta_powers(sf.ctx)
+
+    def _digitwise(self, op, *labels):
+        p = self.p
+        return sum(op(*(a // p**j % p for a in labels)) % p * p**j
+                   for j in range(self.s))
 
     def add(self, a, b):
-        if self._tables is None:
-            return (a + b) % self.p
-        return self._tables[0][a][b]
+        return self._digitwise(lambda x, y: x + y, a, b)
 
     def neg(self, a):
-        if self._tables is None:
-            return -a % self.p
-        return self._tables[2][a]
+        return self._digitwise(lambda x: -x, a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
-        if self._tables is None:
+        if self.s == 1:
             return a * b % self.p
-        return self._tables[1][a][b]
+        if not a or not b:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
 
     def inv(self, a):
         return next(b for b in range(1, self.q) if self.mul(a, b) == 1)
+
+
+@functools.cache
+def _eta_powers(ctx):
+    """The labels of eta^0, ..., eta^(q-2), and the log of each nonzero label."""
+    label = {element(ctx, a): a for a in range(ctx.q)}
+    x, exp = ctx.one, []
+    for _ in range(ctx.q - 1):
+        exp.append(label[x])
+        x = ctx.mul(x, ctx.eta())
+    return exp, {a: k for k, a in enumerate(exp)}
 
 
 def elem_add(ctx, a, b):

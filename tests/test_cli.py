@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import abcode.cli
+import abcode.code
 from abcode.cli import (EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, dump_spec,
                         load_spec, main, parse_spec)
 
@@ -526,6 +527,18 @@ def test_search_two_error_battery(tmp_path, capsys):
     rc, out = run_cli(capsys, "search", path, "--dim-exact", "29",
                       "--min-distance", "5", "--pd-errors", "2")
     assert "6 hit(s)" in out
+
+
+def test_search_past_the_decision_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # a (2;5,9) k = 29 union of distance 5 takes 435 evaluations to show
+    # d >= 5: every combination of at most two rows
+    monkeypatch.setattr(abcode.code, "_DECIDE_BUDGET", 400)
+    path = write(tmp_path, SPEC_59_EMPTY)
+    rc = main(["search", path, "--dim-exact", "29", "--min-distance", "5"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_BAD_INPUT
+    assert captured.out == ""
+    assert "more than 400 evaluations" in captured.err
 
 
 # ---------- exit codes ----------

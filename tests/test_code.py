@@ -8,6 +8,7 @@ evaluation) and the two must agree everywhere.
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -344,6 +345,36 @@ def test_check_tensor_is_basis_independent(name):
         assert MatrixGF(sf, np.vstack([base, other])).rank() == rank
 
 
+def test_check_tensor_solves_once_per_orbit_size(monkeypatch):
+    calls = []
+
+    def counting(ctx, a, d):
+        calls.append(d)
+        return subfield_coords(ctx, a, d)
+
+    monkeypatch.setattr(abcode.code, "subfield_coords", counting)
+    shared = 0
+    for name, D in TENSOR_CODES.items():
+        calls.clear()
+        check_tensor(AbelianCode(D))
+        sizes = [len(orb) for orb in D.orbits()]
+        assert sorted(calls) == sorted(set(sizes)), name
+        shared += len(sizes) - len(calls)
+    assert shared > 0   # some orbits share a size, and so a solve
+
+
+@pytest.mark.parametrize("name", ["HAMMING", "GOLAY3", "QUARTIC", "C358", "C457"])
+def test_check_tensor_refuses_a_wrong_orbit_size(monkeypatch, name):
+    # each orbit reported as its least element alone, so of size 1: the
+    # entries of a larger orbit lie outside F_q, and no block may read F_q
+    # coordinates for them
+    true_orbits = DefiningSet.orbits
+    monkeypatch.setattr(DefiningSet, "orbits",
+                        lambda self: [orb[:1] for orb in true_orbits(self)])
+    with pytest.raises(FieldError, match="not in F_"):
+        check_tensor(AbelianCode(NAMED[name]))
+
+
 def test_field_past_64_bits_is_refused():
     # ord_67(2) = 66, so the roots of unity need F_{2^66}
     with pytest.raises(FieldError, match="64-bit"):
@@ -504,6 +535,19 @@ def test_distance_at_least_via_decision_procedure():
     code = AbelianCode(from_orbit_reps(amb, [(1, 2), (1, 6)]))  # d = 5
     assert distance_at_least(code, 5)
     assert not distance_at_least(code, 6)
+
+
+def test_distance_decision_past_its_budget_is_refused():
+    # [85, 48] over F_3: d >= 8 is decided within the budget, d >= 9 would
+    # need every combination of four rows, 3.1 million more evaluations
+    code = AbelianCode(from_orbit_reps(Ambient(3, (17, 5, 1)), [
+        (0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 3, 0)]))
+    assert distance_at_least(code, 8)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"deciding d\\(C\\) > 8 takes more than "
+                                         f"{abcode.code._DECIDE_BUDGET} evaluations"):
+        distance_at_least(code, 9)
+    assert time.perf_counter() - start < 20
 
 
 def test_distance_at_least_nonbinary_beyond_weight_five():
