@@ -26,6 +26,8 @@ from .gf import (FieldError, MatrixGF, ScalarField, _unpack_rows,
 from .orbit import DefiningSet, frobenius_order
 
 _FULL_ENUM_LIMIT = 1 << 20
+_WALK_BLOCK = 1 << 20    # walked Gray combinations screened at once
+_PAIR_BLOCK = 1 << 18    # (high, low) message pairs weighed at once
 _GRAY_MAX_K = 28
 # evaluations a find_low_weight_codeword decision may spend: a few seconds
 # over F_3, and about 100 times the 10 700 of the largest the tests make
@@ -169,30 +171,164 @@ class DistanceResult:
         return f"DistanceResult([{self.lower},{self.upper}], method={self.method!r})"
 
 
+def _or_rows(rows):
+    return functools.reduce(operator.or_, rows, 0)
+
+
+def _combo(rows, bits):
+    """XOR of rows[b] over the set bits b of bits."""
+    return functools.reduce(
+        operator.xor, (row for b, row in enumerate(rows) if bits >> b & 1), 0)
+
+
+def _words(rows, cols):
+    """The rows restricted to cols (bit b = column cols[b]) as uint64 words,
+    a (len(rows), max(1, ceil(len(cols) / 64))) array."""
+    bits = np.zeros((len(rows), 64 * max(1, -(-len(cols) // 64))), dtype=np.uint8)
+    if rows and cols:
+        bits[:, :len(cols)] = _unpack_rows(rows, max(cols) + 1)[:, cols]
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _span(words, gray=False):
+    """All 2^m XOR combinations of the (m, nch) words, as an (nch, 2^m)
+    array: entry i combines the words at the bits of i, or with gray at
+    the bits of i ^ (i >> 1), by reflection."""
+    t = np.zeros((words.shape[1], 1), dtype=np.uint64)
+    for w in words:
+        t = np.concatenate([t, (t[:, ::-1] if gray else t) ^ w[:, None]], axis=1)
+    return t
+
+
+def _weights(span):
+    """The weight of each entry of an (nch, N) span, as int32."""
+    acc = np.bitwise_count(span[0]).astype(np.int32)
+    for chunk in span[1:]:
+        acc += np.bitwise_count(chunk)
+    return acc
+
+
+def _scan_sweep(rows, l, split, steps):
+    """The first `steps` Gray steps, each a scan of the 2^split table."""
+    low, walk = rows[:split], rows[split:]
+    tab = _span(_words(low, range(l)))
+
+    def scan(hi):
+        acc = _weights(tab ^ _words([hi], range(l)).T)
+        if hi == 0:
+            acc[0] = l + 1
+        i = int(np.argmin(acc))
+        return int(acc[i]), i
+
+    best, best_hi, best_i = l + 1, None, None
+    hi = 0
+    for step in range(steps):
+        if step:
+            hi ^= walk[(step & -step).bit_length() - 1]
+        wt, i = scan(hi)
+        if wt < best:
+            best, best_hi, best_i = wt, hi, i
+    if best_hi is None:
+        return None
+    return best, _combo(low, best_i) ^ best_hi
+
+
+def _screened_sweep(rows, l, cut, split, steps):
+    """The first `steps` Gray steps over rows[split:], each with rows
+    cut..split-1 in binary order inside it, against the 2^cut table of
+    rows[:cut]; every walked combination is screened at once."""
+    low, mid, high = rows[:cut], rows[cut:split], rows[split:]
+    shared = _or_rows(low) & _or_rows(rows[cut:])
+    scols = [j for j in range(l) if shared >> j & 1]
+    ymask = np.uint64((1 << len(scols)) - 1)
+
+    def words(rs):
+        # the shared columns first, so a word's low bits are its S-pattern
+        own = _or_rows(rs) & ~shared
+        return _words(rs, scols + [j for j in range(l) if own >> j & 1])
+
+    tab = _span(words(low))
+    x = (tab[0] & ymask).astype(np.uint32)
+    off = _weights(tab) - np.bitwise_count(x)
+    del tab
+    # l + 1 marks a pattern no entry has; int32 holds it plus |S|
+    dist = np.full(1 << len(scols), l + 1, dtype=np.int32)
+    np.minimum.at(dist, x, off)
+    for b in range(len(scols)):
+        v = dist.reshape(-1, 2, 1 << b)
+        np.minimum(v[:, 0], v[:, 1] + 1, out=v[:, 0])
+        np.minimum(v[:, 1], v[:, 0] + 1, out=v[:, 1])
+    # a walked word's weight adds in full, its S-pattern's is counted in dist
+    dist -= np.bitwise_count(np.arange(len(dist))).astype(np.int32)
+
+    def first_min(y, nonzero):
+        acc = off + np.bitwise_count(x ^ np.uint32(y))
+        if nonzero:
+            acc[0] = l + 1
+        i = int(np.argmin(acc))
+        return int(acc[i]), i
+
+    walked = words(rows[cut:])
+    inner = _span(walked[:len(mid)])
+    block = min(1 << (steps - 1).bit_length(), max(1, _WALK_BLOCK // inner.shape[1]))
+    m = block.bit_length() - 1
+    first = _span(walked[len(mid):len(mid) + m], gray=True)
+    zero = first_min(0, True)     # step 0, no mid row: the zero word excluded
+    best, at = l + 1, None
+    for b in range(-(-steps // block)):
+        # Gray steps b*block.. are the first block, reversed on odd b,
+        # plus the Gray code of b over the higher walked rows
+        hb = first if b % 2 == 0 else first[:, ::-1]
+        g = b ^ (b >> 1)
+        for j in range(g.bit_length()):
+            if g >> j & 1:
+                hb = hb ^ walked[len(mid) + m + j, :, None]
+        hb = hb[:, :steps - b * block]
+        combos = (hb[:, :, None] ^ inner[:, None]).reshape(len(hb), -1)
+        vals = dist[(combos[0] & ymask).astype(np.uint32)]
+        vals += _weights(combos)
+        if b == 0:
+            vals[0] = zero[0]
+        i = int(np.argmin(vals))
+        if vals[i] < best:
+            best, at = int(vals[i]), b * block * inner.shape[1] + i
+    s, mbits = divmod(at, inner.shape[1])
+    hi = _combo(high, s ^ (s >> 1)) ^ _combo(mid, mbits)
+    y = sum((hi >> j & 1) << b for b, j in enumerate(scols))
+    return best, _combo(low, (first_min(y, False) if at else zero)[1]) ^ hi
+
+
 def _gray_min(rows, l, budget=None):
     """Minimum nonzero weight over all F_2 combinations of independent rows.
 
-    The low `split` rows (20, fewer under a budget) are tabulated as numpy
-    chunks of 2^split words lo; the other rows are walked in Gray-code
-    order, one row XOR per step word hi.  Let S be the columns where some
-    tabulated row and some walked row are both nonzero; on a systematic
-    generator S lies within the check columns.  Off S at most one side is
-    nonzero, so
+    The low `split` rows (20, fewer under a budget) index a table of 2^split
+    combinations lo; the other rows are walked in Gray-code order, one row
+    XOR per step word hi.  Combinations are ordered by step, then by table
+    index, and the witness is the first that reaches the minimum.
+
+    With a cut c, let S be the columns where some row below c and some row
+    from c on are both nonzero; on a systematic generator S lies within the
+    check columns.  Off S at most one side is nonzero, so
 
         wt(lo ^ hi) = wt(lo & ~S) + wt(hi & ~S) + wt((lo ^ hi) & S).
 
-    When more than one step runs and |S| < split, the table is screened:
-    with lo_S the S-bits of lo packed to |S| bits, dist[y] is the least
-    wt(lo & ~S) + wt(lo_S ^ y) over the table, for every y < 2^|S| (the
-    least wt(lo & ~S) per pattern, then a distance transform over the
-    |S|-cube).  The exact minimum of a step after the first is then
-    dist[hi_S] + wt(hi & ~S), one lookup.  Step 0 (hi = 0, zero word
-    excluded) and every step of an unscreened sweep scan the whole table.
+    When |S| is small, the table of rows[:c] is screened: with lo_S the
+    S-bits of lo packed to |S| bits, dist[y] is the least wt(lo & ~S) +
+    wt(lo_S ^ y) over the table, for every y < 2^|S| (the least wt(lo & ~S)
+    per pattern, then a distance transform over the |S|-cube).  The exact
+    minimum of a walked combination hi other than 0 is then
+    dist[hi_S] + wt(hi & ~S), one gather for all of them at once; hi = 0
+    scans the table, zero word excluded.
 
-    The best weight drops on exactly the steps where a scan of every step
-    would drop it.  The witness is the first table entry of the first step
-    that reaches the minimum; if that step was screened, its table is
-    scanned once, after the walk.
+    A whole sweep (no budget, or one of at least 2^k) with k > 20 cuts at
+    k // 2 (20 past k = 41) when that cut shares fewer than 20 columns:
+    rows k//2..split-1 run in binary order inside each Gray step, so
+    (step, those rows, table index) is the order of (step, 2^split table
+    index).  Otherwise a sweep
+    of more than one step is screened at the split when |S| < split, and
+    else each step scans the 2^split table.  Walked combinations are
+    evaluated in blocks of at most 2^20, so no table or block holds more
+    than 2^20 words of 64 columns each.
 
     Under a budget b the table holds at most 2^floor(log2 b) combinations
     (at least 2), and no step runs that would take the evaluations past b;
@@ -206,75 +342,24 @@ def _gray_min(rows, l, budget=None):
     if budget is not None:
         split = min(split, max(1, budget.bit_length() - 1))
         steps = max(0, min(1 << (k - split), budget >> split))
-    low, walk = rows[:split], rows[split:]
-    nch = (l + 63) // 64
-    mask64 = (1 << 64) - 1
-
-    def chunk(v, c):
-        return np.uint64((v >> (64 * c)) & mask64)
-
-    tabs = []
-    for c in range(nch):
-        t = np.zeros(1, dtype=np.uint64)
-        for row in low:
-            t = np.concatenate([t, t ^ chunk(row, c)])
-        tabs.append(t)
-
-    def scan(hi):
-        acc = None
-        for c in range(nch):
-            w = np.bitwise_count(tabs[c] ^ chunk(hi, c)).astype(np.uint32)
-            acc = w if acc is None else acc + w
-        if hi == 0:
-            acc[0] = l + 1
-        i = int(np.argmin(acc))
-        return int(acc[i]), i
-
-    shared = functools.reduce(operator.or_, low, 0) & functools.reduce(operator.or_, walk, 0)
-    dist = None
-    if steps > 1 and shared.bit_count() < split:
-        cols = [j for j in range(l) if shared >> j & 1]
-        rest = ((1 << l) - 1) & ~shared
-
-        def pack(v):
-            return sum(((v >> j) & 1) << b for b, j in enumerate(cols))
-
-        off = np.zeros(1 << split, dtype=np.int32)
-        for c in range(nch):
-            off += np.bitwise_count(tabs[c] & chunk(rest, c))
-        x = np.zeros(1, dtype=np.uint32)
-        for row in low:
-            x = np.concatenate([x, x ^ np.uint32(pack(row))])
-        # l + 1 marks a pattern no entry has; int32 holds it plus |S|
-        dist = np.full(1 << len(cols), l + 1, dtype=np.int32)
-        np.minimum.at(dist, x, off)
-        del off, x
-        for b in range(len(cols)):
-            v = dist.reshape(-1, 2, 1 << b)
-            np.minimum(v[:, 0], v[:, 1] + 1, out=v[:, 0])
-            np.minimum(v[:, 1], v[:, 0] + 1, out=v[:, 1])
-        packed = [pack(row) for row in walk]
-
-    best, best_hi, best_i = l + 1, None, None
-    hi = y = 0
-    for step in range(steps):
-        if step:
-            j = (step & -step).bit_length() - 1
-            hi ^= walk[j]
-        if step and dist is not None:
-            y ^= packed[j]
-            wt, i = int(dist[y]) + (hi & rest).bit_count(), None
-        else:
-            wt, i = scan(hi)
-        if wt < best:
-            best, best_hi, best_i = wt, hi, i
     evals = steps << split
-    if best_hi is None:
+    whole = evals == 1 << k
+
+    def shared(cut):
+        return (_or_rows(rows[:cut]) & _or_rows(rows[cut:])).bit_count()
+
+    half = min(k // 2, split)
+    if steps == 0:
+        found = None
+    elif whole and k > 20 and shared(half) < 20:
+        found = _screened_sweep(rows, l, half, split, steps)
+    elif steps > 1 and shared(split) < split:
+        found = _screened_sweep(rows, l, split, split, steps)
+    else:
+        found = _scan_sweep(rows, l, split, steps)
+    if found is None:
         return l, None, evals, False
-    if best_i is None:
-        best_i = scan(best_hi)[1]
-    lo = sum(int(tabs[c][best_i]) << (64 * c) for c in range(nch))
-    return best, lo ^ best_hi, evals, evals == 1 << k
+    return found[0], found[1], evals, whole
 
 
 def _enum_weight_min_bits(rows, w, best):
@@ -395,6 +480,13 @@ def _bz_min(G, budget=None, decide_at_least=None):
 def _full_min(G, budget=None):
     """Expand every message; memory-bounded exact enumeration.
 
+    Message i = lo + q^h hi, h = k // 2, is sum_j c_j row_j over its base-q
+    digits c_j.  The two halves rows[:h] and rows[h:] are expanded apart,
+    each as q^h or q^(k - h) words in digit order, and joined in blocks of
+    about 2^18 (hi, lo) pairs: lo + hi vanishes at column j exactly when
+    lo_j = -hi_j, so the weights are counted column by column.  The first
+    lightest nonzero message, hi-major, is the witness.
+
     Returns (lower, upper, witness, evaluations), and [1, l] with no witness
     and nothing evaluated when the q^k messages exceed the budget.
     """
@@ -405,13 +497,29 @@ def _full_min(G, budget=None):
         return 1, l, None, 0
     if q**k * l > (1 << 28):
         raise ValueError("full enumeration exceeds the memory budget")
-    A = np.zeros((1, l), dtype=G.data.dtype)
-    for row in G.data:
-        A = np.vstack([A] + [f.add(A, f.mul(row, v)) for v in range(1, q)])
-    weights = np.count_nonzero(A, axis=1)
-    weights[0] = l + 1
-    i = int(np.argmin(weights))
-    return int(weights[i]), int(weights[i]), A[i].copy(), q**k
+
+    def expand(rows):
+        A = np.zeros((1, l), dtype=G.data.dtype)
+        for row in rows:
+            A = np.vstack([A] + [f.add(A, f.mul(row, v)) for v in range(1, q)])
+        return A
+
+    lo, hi = expand(G.data[:k // 2]), expand(G.data[k // 2:])
+    lo_cols, neg_cols = lo.T.copy(), f.neg(hi).T.copy()
+    block = max(1, _PAIR_BLOCK // len(lo))     # hi words per block
+    best, at = l + 1, None
+    for start in range(0, len(hi), block):
+        neg = neg_cols[:, start:start + block, None]
+        w = np.zeros((neg.shape[1], len(lo)), dtype=np.min_scalar_type(l + 1))
+        for j in range(l):
+            w += lo_cols[j] != neg[j]
+        if start == 0:
+            w[0, 0] = l + 1
+        i = int(np.argmin(w))
+        if w.flat[i] < best:
+            best, at = int(w.flat[i]), start * len(lo) + i
+    h, i = divmod(at, len(lo))
+    return best, best, f.add(lo[i], hi[h]), q**k
 
 
 def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> DistanceResult:

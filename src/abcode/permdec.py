@@ -24,6 +24,7 @@ from .gamma import CheckSet, build_gamma
 from .orbit import Ambient, DefiningSet, frobenius_order, orbits
 
 PD_SUBSET_BUDGET = 2_000_000   # s-subsets is_pd_set may walk
+GROUP_TABLE_BUDGET = 1 << 25   # int64 entries a group table build may hold
 SEARCH_BUDGET = 1 << 20        # orbit unions design_search may enumerate
 
 # bench/spans.py looks up this former class to count calls of its
@@ -42,12 +43,22 @@ def _index_table(amb: Ambient, coords: np.ndarray) -> np.ndarray:
                                 mode="wrap").astype(np.int64)
 
 
+def _check_group_table(amb: Ambient, rows: int) -> None:
+    """Refuse a (rows, l) group table past GROUP_TABLE_BUDGET before any of
+    it is built, counting the (n, l, l) coordinate sums behind it too."""
+    entries = max(rows, amb.n * amb.length) * amb.length
+    if entries > GROUP_TABLE_BUDGET:
+        raise ValueError(f"a group table of {entries} entries exceeds the "
+                         f"budget of {GROUP_TABLE_BUDGET}")
+
+
 def translation_subgroup(amb: Ambient) -> np.ndarray:
     """The coordinate translations as an (l, l) table.
 
     Row v is T_v: entry j is the index of position j + v.  Row 0 is the
-    identity.
+    identity.  Raises ValueError past GROUP_TABLE_BUDGET.
     """
+    _check_group_table(amb, amb.length)
     x = _coords(amb)
     return _index_table(amb, x[:, :, None] + x[:, None, :])
 
@@ -58,8 +69,10 @@ def enumerate_lambda(amb: Ambient) -> np.ndarray:
     Row i is the element j -> q^f * (j + v) with f = i // l and
     v = amb.tuple_of(i % l): the identity first, then (frob, shift)
     lexicographic.  The rows for frob f are M_f[T], where T is the
-    translation table and M_f the index map j -> q^f * j.
+    translation table and M_f the index map j -> q^f * j.  Raises
+    ValueError past GROUP_TABLE_BUDGET.
     """
+    _check_group_table(amb, frobenius_order(amb) * amb.length)
     T = translation_subgroup(amb)
     x = _coords(amb)
     rows = []

@@ -541,6 +541,17 @@ def test_search_past_the_decision_budget_exits_2(tmp_path, capsys, monkeypatch):
     assert "more than 400 evaluations" in captured.err
 
 
+def test_pdset_past_the_group_table_budget_exits_2(tmp_path, capsys):
+    # the (2;127,129) lambda table would take about 30 GB: refused unbuilt
+    path = write(tmp_path, "q: 2\nr: [127, 129]\ndefining_set:\n  orbits: [\"1,0\"]\n")
+    rc = main(["pdset", path, "--errors", "1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_BAD_INPUT
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: a group table of 3757637646 entries exceeds the budget of 33554432"]
+
+
 # ---------- exit codes ----------
 
 

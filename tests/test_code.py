@@ -6,6 +6,7 @@ through both routes (syndrome against the parity matrix, and direct root
 evaluation) and the two must agree everywhere.
 """
 
+import itertools
 import math
 import random
 import time
@@ -45,9 +46,10 @@ C358 = from_orbit_reps(Ambient(3, (5, 8)),                    # [40, 15, 10]
                        [(0, 0), (1, 1), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7)])
 C457 = from_orbit_reps(Ambient(4, (5, 7)),                    # [35, 14, 10]
                        [(0, 0), (1, 0), (1, 3), (2, 1), (2, 3)])
+C59 = from_orbit_reps(Ambient(2, (5, 9)), [(1, 2), (1, 6)])  # [45, 29, 5]
 NAMED = {"HAMMING": HAMMING, "GOLAY3": GOLAY3, "QUARTIC": QUARTIC,
          "TWO_AXIS": TWO_AXIS, "C9": C9, "C315": C315, "C345": C345,
-         "C358": C358, "C457": C457}
+         "C358": C358, "C457": C457, "C59": C59}
 
 
 # ---------- naive linear algebra oracle ----------
@@ -622,10 +624,13 @@ PINNED_DISTANCES = {
     ("TWO_AXIS", "full"): (7, 7, "full", 64, "111111100000000000000"),
     ("TWO_AXIS", "bz"): (7, 7, "bz", 6, "000000011111110000000"),
     ("C345", "bz"): (4, 4, "bz", 24, "10002000000000020001"),
+    ("C345", "full"): (4, 4, "full", 531441, "12000210000000000000"),
     ("C358", "bz"): (10, 10, "bz", 4090,
                      "0100010000010001000100010100010000200020"),
     ("C457", "bz"): (10, 10, "bz", 10689,
                      "00001100000110000011000001100000110"),
+    ("C59", "gray"): (5, 5, "gray", 1 << 29,
+                      "100000000100000000100000000100000000100000000"),
 }
 
 
@@ -668,8 +673,9 @@ def test_budget_bracket_is_sound(name, method, d, budget):
         assert res.is_exact == (code.ambient.q ** code.dimension <= budget)
 
 
-def gray_min_direct(rows, l, budget=None):
-    """The Gray sweep that scans the whole table on every step."""
+def gray_min_direct(rows, l, budget=None, minima=None):
+    """The Gray sweep that scans the whole table on every step; each step's
+    minimum is appended to minima when it is given."""
     k = len(rows)
     split = min(k, 20)
     if budget is not None:
@@ -693,6 +699,8 @@ def gray_min_direct(rows, l, budget=None):
         if hi == 0:
             acc[0] = l + 1
         i = int(np.argmin(acc))
+        if minima is not None:
+            minima.append(int(acc[i]))
         if acc[i] < best:
             best = int(acc[i])
             bw = hi ^ sum(int(tabs[c][i]) << (64 * c) for c in range(nch))
@@ -722,14 +730,32 @@ def recombined(rows, rng):
 GRAY_BUDGETS = BUDGETS + ((1 << 21) - 1, 1 << 21, (1 << 21) + 1, None)
 
 
+def lifted(rows, rng):
+    """Each of the first 20 rows plus a random subset of the later rows."""
+    rows = list(rows)
+    for i in range(20):
+        for j in range(20, len(rows)):
+            if rng.random() < 0.5:
+                rows[i] ^= rows[j]
+    return rows
+
+
 @pytest.fixture(scope="module")
 def gray_cases():
-    """Random binary abelian codes with k = 21, 22, 23, 24 whose generator
-    rows share fewer than 20 columns, so the sweep screens them, each with a
-    recombination of the rows that shares 20 or more, so it does not."""
+    """Random binary abelian codes with k = 21, ..., 26 whose generator
+    rows the sweep screens, each with a recombination of the rows that
+    shares 20 or more columns at every cut, so it does not.
+
+    The k = 25 and 26 rows are whole sweeps screened at the k // 2 cut; the
+    k = 25 rows are lifted so that step 0 holds no minimum word and the
+    first minimum of Gray order is not the first of binary order.  A last
+    case screens only at the 20-row cut: the k = 21 rows with the rows
+    10..19 added to the rows below 10, so that the k // 2 cut shares 20
+    columns or more.
+    """
     rng = random.Random(13)
     cases = []
-    for k, r in zip(range(21, 25), ((33,), (35,), (7, 5), (3, 13))):
+    for k, r in zip((21, 22, 23, 24, 26), ((33,), (35,), (7, 5), (3, 13), (39,))):
         amb = Ambient(2, r)
         orbs = orbits(amb)
         for _ in range(200):
@@ -742,18 +768,70 @@ def gray_cases():
             if shared_columns(rows).bit_count() < 20 <= shared_columns(mixed).bit_count():
                 cases.append((code, rows, mixed))
                 break
-    assert len(cases) == 4
+    code = AbelianCode(from_orbit_reps(Ambient(2, (3, 13)), [(1, 0), (1, 1)]))
+    rows = lifted(generator_matrix(code).row_ints(), random.Random(10))
+    cases.insert(4, (code, rows, recombined(rows, rng)))
+    code, rows, mixed = cases[0]
+    cases.append((code, [row ^ rows[10 + i] if i < 10 else row
+                         for i, row in enumerate(rows)], mixed))
+    assert [len(rows) for _, rows, _ in cases] == [21, 22, 23, 24, 25, 26, 21]
+    for i, (_, rows, mixed) in enumerate(cases):
+        k = len(rows)
+        assert shared_columns(rows, k // 2).bit_count() < 20 or i == 6
+        assert shared_columns(rows).bit_count() < 20
+        assert min(shared_columns(mixed, c).bit_count() for c in (k // 2, 20)) >= 20
+    assert shared_columns(cases[6][1], 10).bit_count() >= 20
     return cases
 
 
 def test_gray_screen_matches_direct_scan(gray_cases):
+    # some case has its first minimum word past step 0 and a tie in a
+    # later step, ordered otherwise by the steps' combinations: a join
+    # that keeps the last tie, or walks rows 20.. in binary order, returns
+    # another witness there
+    reordered = 0
     for code, rows, mixed in gray_cases:
         l = code.length
         for budget in GRAY_BUDGETS:
             for r in (rows, mixed):
-                want = gray_min_direct(r, l, budget)
+                minima = []
+                want = gray_min_direct(r, l, budget, minima)
                 assert abcode.code._gray_min(r, l, budget) == want
-        assert gray_min_direct(rows, l)[0] == min_distance(code, method="bz").value
+                if budget is None and r is rows:
+                    ties = [s for s, m in enumerate(minima) if m == want[0]]
+                    reordered += ties[0] != min(ties, key=lambda s: s ^ (s >> 1))
+                    d = want[0]
+        assert d == min_distance(code, method="bz").value
+    assert reordered
+
+
+def test_gray_walk_in_blocks(monkeypatch):
+    # systematic rows with 19 random bits each past the identity, where the
+    # walked rows of a Gray step sum to a lightest word: steps 12 and 24,
+    # in odd blocks of four steps, at k = 25, so that a join keeping the
+    # last tie takes step 24; step 9, in an odd block of eight and just
+    # past a budget of 9 steps, at k = 26.  Walked in small blocks, odd ones
+    # reversed and the last cut short under the budget, the sweep gives
+    # what one block gives, and that is the direct scan's
+    rng = random.Random(17)
+    for k, steps in ((25, (12, 24)), (26, (9,))):
+        rows = [1 << i | rng.getrandbits(19) << k for i in range(k)]
+        planted = []
+        for step in steps:
+            walked = [20 + j for j in range(k - 20) if (step ^ step >> 1) >> j & 1]
+            rest = 0
+            for i in walked[:-1]:
+                rest ^= rows[i] >> k
+            rows[walked[-1]] = 1 << walked[-1] | rest << k
+            planted.append(sum(1 << i for i in walked))
+        l = k + 19
+        want = [abcode.code._gray_min(rows, l, b) for b in (None, 10**7)]
+        assert want[0] == (planted[0].bit_count(), planted[0], 1 << k, True)
+        assert want[1] == gray_min_direct(rows, l, 10**7)
+        for block in (4, 1024):
+            monkeypatch.setattr(abcode.code, "_WALK_BLOCK", block)
+            assert [abcode.code._gray_min(rows, l, b) for b in (None, 10**7)] == want
+            monkeypatch.undo()
 
 
 def test_gray_screen_past_64_columns():
@@ -778,9 +856,10 @@ def test_gray_screen_past_64_columns():
 
 def test_gray_screen_with_patterns_no_entry_has(gray_cases):
     # each code written twice, the copy 60 columns on: every shared column
-    # has a twin, so most patterns of S bits occur in no table entry
+    # has a twin, so most patterns of S bits occur in no table entry.  The
+    # k = 21..24 generators only: twinned, the later cases screen at no cut
     screened = 0
-    for code, rows, _ in gray_cases:
+    for code, rows, _ in gray_cases[:4]:
         l = code.length + 60
         rows = [row | row << 60 for row in rows]
         shared = shared_columns(rows)
@@ -790,6 +869,70 @@ def test_gray_screen_with_patterns_no_entry_has(gray_cases):
             assert got == gray_min_direct(rows, l, budget)
         assert got[0] == 2 * min_distance(code, method="bz").value
     assert screened >= 2
+
+
+def full_min_direct(G):
+    """Every message sum_j c_j row_j, in index order sum_j c_j q^j, with the
+    first nonzero word of least weight; sums and products read tables built
+    from the Labels oracle."""
+    lab = Labels(G.field)
+    q = G.field.q
+    k, l = G.shape
+    add = np.array([[lab.add(a, b) for b in range(q)] for a in range(q)])
+    mul = np.array([[lab.mul(a, b) for b in range(q)] for a in range(q)])
+    best, wit = l + 1, None
+    for digits in itertools.product(range(q), repeat=k):
+        word = np.zeros(l, dtype=np.int64)
+        for c, row in zip(reversed(digits), G.data):
+            word = add[word, mul[c, row]]
+        wt = int(np.count_nonzero(word))
+        if 0 < wt < best:
+            best, wit = wt, word
+    return best, best, wit, q**k
+
+
+def full_codes(q, rng):
+    """The k = 1 code of a random ambient (D: all but the zero orbit), and
+    two random codes of odd and two of even k, with q^k <= 1500."""
+    r = tuple(rng.choice([v for v in range(2, 12) if math.gcd(v, q) == 1])
+              for _ in range(2))
+    amb = Ambient(q, r)
+    codes = [AbelianCode(DefiningSet(amb, frozenset(amb.positions()[1:])))]
+    parities = [0, 0]
+    while parities != [2, 2]:
+        r = tuple(rng.choice([v for v in range(2, 14) if math.gcd(v, q) == 1])
+                  for _ in range(rng.randint(1, 2)))
+        amb = Ambient(q, r)
+        if amb.length > 30:
+            continue
+        code = AbelianCode(DefiningSet(amb, frozenset(
+            m for o in orbits(amb) if rng.random() < 0.5 for m in o)))
+        k = code.dimension
+        if 2 <= k and q**k <= 1500 and parities[k % 2] < 2:
+            parities[k % 2] += 1
+            codes.append(code)
+    return codes
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_full_enumeration_matches_direct(q):
+    codes = full_codes(q, random.Random(47 + q))
+    if q == 4:
+        # l = 255 needs a weight dtype wider than a byte, for l + 1
+        amb = Ambient(4, (255,))
+        codes.append(AbelianCode(DefiningSet(amb, frozenset(
+            m for o in orbits(amb)[2:] for m in o))))
+    assert {code.dimension % 2 for code in codes} == {0, 1}
+    assert min(code.dimension for code in codes) == 1
+    for code in codes:
+        G = generator_matrix(code)
+        want = full_min_direct(G)
+        for budget in (None, G.field.q ** code.dimension):
+            lower, upper, wit, evals = abcode.code._full_min(G, budget)
+            assert (lower, upper, evals) == (want[0], want[1], want[3])
+            assert wit.dtype == G.data.dtype
+            assert wit.tolist() == want[2].tolist()
+        assert abcode.code._full_min(G, want[3] - 1) == (1, code.length, None, 0)
 
 
 def test_translate_bound_moves_the_bracket():

@@ -316,6 +316,35 @@ def test_group_table_must_fit_the_ambient():
                                word, 1)
 
 
+def test_group_tables_refuse_past_their_budget_before_building(monkeypatch):
+    # (2;127,129) has ord = 14: the lambda table would hold 14 * 16383^2
+    # int64 entries, about 30 GB, and the translation sums 2 * 16383^2
+    built = []
+    monkeypatch.setattr(abcode.permdec, "_coords",
+                        lambda amb: built.append(amb))
+    amb = Ambient(2, (127, 129))
+    for make in (enumerate_lambda, translation_subgroup):
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            make(amb)
+    assert built == []
+
+
+def test_group_table_budget_is_inclusive(monkeypatch):
+    # (2;5,9): ord * l^2 = 12 * 45^2 entries for lambda, n * l^2 = 2 * 45^2
+    # for the translation sums
+    default = abcode.permdec.GROUP_TABLE_BUDGET
+    amb = Ambient(2, (5, 9))
+    for make, need in ((enumerate_lambda, 24300), (translation_subgroup, 4050)):
+        monkeypatch.setattr(abcode.permdec, "GROUP_TABLE_BUDGET", need)
+        assert make(amb).shape[1] == 45
+        monkeypatch.setattr(abcode.permdec, "GROUP_TABLE_BUDGET", need - 1)
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            make(amb)
+    # the largest ambient the tests and goldens build a group on still fits
+    big = Ambient(2, (31, 33))
+    assert frobenius_order(big) * big.length ** 2 <= default
+
+
 # ---------- sufficient conditions ----------
 
 
