@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .code import AbelianCode, MatrixGF, distance_at_least
+from .code import AbelianCode, MatrixGF, combination_blocks, distance_at_least
 from .gamma import CheckSet, build_gamma
 from .orbit import Ambient, DefiningSet, frobenius_order, orbits
 
@@ -144,40 +144,29 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
 
     elements is a (|G|, l) group table.  A subset S is served when some
     row maps it entirely outside the information set.  Per position we keep
-    the bitmask of serving rows; a subset is served iff the AND of its masks
-    is nonzero, and any zero partial AND already dooms every superset, which
-    prunes the walk.
+    the bitmask of serving rows, packed into 64-bit words; a subset is
+    served iff the AND of its masks is nonzero.  The s-subsets run in
+    lexicographic order, a block of them per AND, and the check stops at
+    the first unserved one, the witness; no subset past it is reached.
+
+    That is the first unserved prefix a depth-first walk over prefixes
+    meets, padded with the least positions it lacks: an unserved prefix
+    shorter than s comes first only when it is 0, ..., d - 1, since
+    inserting a missing smaller position gives an earlier one.
     """
     l = amb.length
     check_pd_errors(l, s, budget)
     elements = _group_table(amb, elements)
     # served[x, g]: row g moves position x outside the information set
     served = ~_info_mask(amb, info_set)[elements.T]
-    packed = np.packbits(served, axis=1, bitorder="little")
-    masks = [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-    witness = None
-
-    def walk(start, acc, chosen):
-        nonlocal witness
-        if len(chosen) == s:
-            if acc == 0:
-                witness = tuple(chosen)
-                return True
-            return False
-        remaining = s - len(chosen)
-        if acc == 0:
-            pad = [x for x in range(l) if x not in chosen][:remaining]
-            witness = tuple(chosen + pad)
-            return True
-        for x in range(start, l - remaining + 1):
-            if walk(x + 1, acc & masks[x], chosen + [x]):
-                return True
-        return False
-
-    full = (1 << len(elements)) - 1
-    if walk(0, full, []):
-        return PDResult(False, tuple(amb.tuple_of(x) for x in witness))
+    packed = np.zeros((l, -(-len(elements) // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-len(elements) // 8)] = np.packbits(served, axis=1, bitorder="little")
+    masks = packed.view("<u8")
+    for subsets, acc in combination_blocks(masks, 1, s, np.bitwise_and):
+        unserved = (acc == 0).all(axis=1)
+        if unserved.any():
+            first = subsets[int(np.argmax(unserved))]
+            return PDResult(False, tuple(amb.tuple_of(int(x)) for x in first))
     return PDResult(True)
 
 

@@ -47,9 +47,11 @@ C358 = from_orbit_reps(Ambient(3, (5, 8)),                    # [40, 15, 10]
 C457 = from_orbit_reps(Ambient(4, (5, 7)),                    # [35, 14, 10]
                        [(0, 0), (1, 0), (1, 3), (2, 1), (2, 3)])
 C59 = from_orbit_reps(Ambient(2, (5, 9)), [(1, 2), (1, 6)])  # [45, 29, 5]
+C77 = from_orbit_reps(Ambient(2, (7, 7)),                     # [49, 27, 8]
+                      [(0, 0), (1, 0), (1, 2), (1, 4), (3, 0), (3, 1), (3, 4), (3, 5)])
 NAMED = {"HAMMING": HAMMING, "GOLAY3": GOLAY3, "QUARTIC": QUARTIC,
          "TWO_AXIS": TWO_AXIS, "C9": C9, "C315": C315, "C345": C345,
-         "C358": C358, "C457": C457, "C59": C59}
+         "C358": C358, "C457": C457, "C59": C59, "C77": C77}
 
 
 # ---------- naive linear algebra oracle ----------
@@ -631,6 +633,8 @@ PINNED_DISTANCES = {
                      "00001100000110000011000001100000110"),
     ("C59", "gray"): (5, 5, "gray", 1 << 29,
                       "100000000100000000100000000100000000100000000"),
+    ("C77", "auto"): (8, 8, "gray", 1 << 27,
+                      "0010111101110000000000000000000000000000000000000"),
 }
 
 
@@ -749,9 +753,9 @@ def gray_cases():
     The k = 25 and 26 rows are whole sweeps screened at the k // 2 cut; the
     k = 25 rows are lifted so that step 0 holds no minimum word and the
     first minimum of Gray order is not the first of binary order.  A last
-    case screens only at the 20-row cut: the k = 21 rows with the rows
-    10..19 added to the rows below 10, so that the k // 2 cut shares 20
-    columns or more.
+    case screens past the k // 2 cut: the k = 21 rows with the rows 10..19
+    added to the rows below 10, so that the cuts 10, 11 and 12 share 20
+    columns or more and cut 13 shares 19.
     """
     rng = random.Random(13)
     cases = []
@@ -779,8 +783,8 @@ def gray_cases():
         k = len(rows)
         assert shared_columns(rows, k // 2).bit_count() < 20 or i == 6
         assert shared_columns(rows).bit_count() < 20
-        assert min(shared_columns(mixed, c).bit_count() for c in (k // 2, 20)) >= 20
-    assert shared_columns(cases[6][1], 10).bit_count() >= 20
+        assert min(shared_columns(mixed, c).bit_count() for c in range(k // 2, 21)) >= 20
+    assert [shared_columns(cases[6][1], c).bit_count() for c in range(10, 14)] == [22, 21, 20, 19]
     return cases
 
 
@@ -832,6 +836,50 @@ def test_gray_walk_in_blocks(monkeypatch):
             monkeypatch.setattr(abcode.code, "_WALK_BLOCK", block)
             assert [abcode.code._gray_min(rows, l, b) for b in (None, 10**7)] == want
             monkeypatch.undo()
+
+
+def gray_cuts(monkeypatch, rows, l):
+    """The whole sweep's result and the cuts its screened sweeps ran at; a
+    scan of the table on every step fails the call."""
+    cuts = []
+    screened = abcode.code._screened_sweep
+
+    def spy(rows, l, cut, split, steps):
+        cuts.append(cut)
+        return screened(rows, l, cut, split, steps)
+
+    def scan(*args):
+        raise AssertionError("the table was scanned on every step")
+
+    monkeypatch.setattr(abcode.code, "_screened_sweep", spy)
+    monkeypatch.setattr(abcode.code, "_scan_sweep", scan)
+    try:
+        return abcode.code._gray_min(rows, l), cuts
+    finally:
+        monkeypatch.undo()
+
+
+def test_gray_whole_sweep_cuts_at_the_first_cut_sharing_under_20(monkeypatch, gray_cases):
+    # C77 (k = 27) shares 20 columns at the cuts 13, 14 and 16..20 and 19 at
+    # cut 15, so its whole sweep screens at 15 and returns what scanning the
+    # table on every step returns (pinned in PINNED_DISTANCES);
+    # gray_cases[6] screens at 13
+    rows = generator_matrix(AbelianCode(C77)).row_ints()
+    assert [shared_columns(rows, c).bit_count() for c in range(13, 21)] == \
+        [20, 20, 19, 20, 20, 20, 20, 20]
+    assert gray_cuts(monkeypatch, rows, 49) == ((8, 3828, 1 << 27, True), [15])
+    code, rows, _ = gray_cases[6]
+    assert gray_cuts(monkeypatch, rows, code.length) == \
+        (gray_min_direct(rows, code.length), [13])
+    # every cut from k // 2 to 19 shares row 19's 26 columns, which row 0
+    # carries too; the 20-row cut shares row 20's at most 5 check columns
+    rng = random.Random(29)
+    rows = [1 << i | rng.getrandbits(30) << 21 for i in range(21)]
+    rows[19] = 1 << 19 | ((1 << 25) - 1) << 21
+    rows[0] ^= rows[19]
+    rows[20] = 1 << 20 | rng.getrandbits(5) << 21
+    assert min(shared_columns(rows, c).bit_count() for c in range(10, 20)) >= 20
+    assert gray_cuts(monkeypatch, rows, 51) == (gray_min_direct(rows, 51), [20])
 
 
 def test_gray_screen_past_64_columns():
@@ -933,6 +981,67 @@ def test_full_enumeration_matches_direct(q):
             assert wit.dtype == G.data.dtype
             assert wit.tolist() == want[2].tolist()
         assert abcode.code._full_min(G, want[3] - 1) == (1, code.length, None, 0)
+
+
+def labels_min_direct(f, multiples, w, best):
+    """One f.add per (row, scalar) prefix, recursively, in lexicographic
+    order: the first nonzero sum lighter than best, as (weight, labels),
+    or (best, None)."""
+    k = multiples.shape[0]
+    wit = None
+
+    def rec(start, acc, rem):
+        nonlocal best, wit
+        for i in range(start, k - rem + 1):
+            for row in multiples[i]:
+                v = f.add(acc, row)
+                if rem > 1:
+                    rec(i + 1, v, rem - 1)
+                    continue
+                wt = int(np.count_nonzero(v))
+                if wt and wt < best:
+                    best = wt
+                    wit = v
+
+    if w >= 1 and k >= w:
+        rec(0, np.zeros(multiples.shape[2], dtype=multiples.dtype), w)
+    return best, wit
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_weight_w_scan_matches_the_recursive_walk(monkeypatch, q):
+    # random label rows, in some of them a nonzero row twice, so that sums
+    # of two rows vanish; blocks of one combination, of a few and of the
+    # default size
+    rng = np.random.default_rng(q)
+    amb = Ambient(q, (1,))
+    f = ScalarField(build_context(amb.p, amb.s, 1))
+    nonzero = np.arange(1, q, dtype=f.dtype)[:, None]
+    found = repeated = 0
+    for _ in range(16):
+        k, l = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        rows = rng.integers(0, q, size=(k, l)).astype(f.dtype)
+        if k > 2 and rng.random() < 0.5:
+            rows[int(rng.integers(1, k))] = rows[0]
+            repeated += bool(rows[0].any())
+        multiples = f.mul(rows[:, None, :], nonzero)
+        for w in range(k + 2):
+            if math.comb(k, w) * (q - 1) ** w > 500:
+                continue
+            for best in (l + 1, int(rng.integers(1, 4))):
+                want = labels_min_direct(f, multiples, w, best)
+                found += want[1] is not None and w > 1
+                for block in (1, 4 * (l + 32), None):
+                    if block is not None:
+                        monkeypatch.setattr(abcode.code, "_COMBO_BLOCK", block)
+                    got = abcode.code._enum_weight_min_labels(f, multiples, w, best)
+                    monkeypatch.undo()
+                    assert got[0] == want[0]
+                    assert (got[1] is None) == (want[1] is None)
+                    if got[1] is not None:
+                        assert got[1].dtype == f.dtype
+                        assert got[1].tolist() == want[1].tolist()
+    assert found >= 10 and repeated >= 2
 
 
 def test_translate_bound_moves_the_bracket():

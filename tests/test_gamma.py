@@ -10,6 +10,9 @@ import itertools
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from abcode.code import AbelianCode, verify_check_positions
 from abcode.gamma import build_gamma, compute_fg
 from abcode.orbit import (Ambient, DefiningSet, orbits, qorbit,
@@ -296,6 +299,77 @@ def test_construction_on_every_small_abelian_code():
                     first = cs.positions if first is None else first
                     assert cs.positions == first, (D, order, seed)
     assert unions == 602
+
+
+def dual_defining_set(D):
+    """D-perp = -(the positions not in D), the defining set of the dual code."""
+    amb = D.ambient
+    return DefiningSet(amb, frozenset(
+        tuple(-x % ri for x, ri in zip(t, amb.r))
+        for t in amb.positions() if t not in D.members))
+
+
+def reflected_complement(cs):
+    """rho(the positions not in Gamma), with
+    rho(j) = (r_1 - 1 - j_1, ..., r_n - 1 - j_n)."""
+    return frozenset(tuple(ri - 1 - x for x, ri in zip(t, cs.ambient.r))
+                     for t in cs.complement())
+
+
+def test_gamma_of_the_dual_is_the_reflected_complement():
+    """Gamma(D-perp) = rho(positions - Gamma(D)) on the first exhaustive slice.
+
+    The slice of test_construction_on_every_small_abelian_code: 42
+    ambients, 602 orbit unions, 826 (union, axis ordering) pairs, each
+    built with the default representatives and two seeded choices (2 478
+    pairs of builds), the seeds of D's and D-perp's builds apart.
+    """
+    ambients = small_ambients()
+    assert len(ambients) == 42
+    unions = pairs = 0
+    for amb in ambients:
+        orbs = orbits(amb)
+        for pick in itertools.product((False, True), repeat=len(orbs)):
+            D = DefiningSet(amb, frozenset(
+                m for o, chosen in zip(orbs, pick) if chosen for m in o))
+            dual = dual_defining_set(D)
+            unions += 1
+            for order in itertools.permutations(range(amb.n)):
+                for seed in (None, 1, 2):
+                    rng = None if seed is None else random.Random(seed)
+                    want = reflected_complement(build_gamma(D, ordering=order, rng=rng))
+                    rng = None if seed is None else random.Random(seed + 10)
+                    assert build_gamma(dual, ordering=order, rng=rng).positions == want, \
+                        (D, order, seed)
+                    pairs += 1
+    assert (unions, pairs) == (602, 2478)
+
+
+@st.composite
+def ambients_up_to_200(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 8, 9)))
+    r = []
+    for _ in range(draw(st.integers(1, 3))):
+        room = 200 // math.prod(r)
+        r.append(draw(st.sampled_from([v for v in range(1, room + 1)
+                                       if math.gcd(v, q) == 1])))
+    return Ambient(q, tuple(r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gamma_of_the_dual_is_the_reflected_complement_up_to_length_200(data):
+    # q in {2, 3, 4, 5, 7, 8, 9}, one to three axes with r_i >= 1 coprime to
+    # q, l <= 200; a random union of orbits, axis ordering and two seeds
+    amb = data.draw(ambients_up_to_200())
+    orbs = orbits(amb)
+    pick = data.draw(st.lists(st.booleans(), min_size=len(orbs), max_size=len(orbs)))
+    D = DefiningSet(amb, frozenset(m for o, chosen in zip(orbs, pick) if chosen for m in o))
+    order = data.draw(st.permutations(range(amb.n)))
+    seeds = data.draw(st.tuples(*[st.none() | st.integers(0, 2**16)] * 2))
+    rng = [None if seed is None else random.Random(seed) for seed in seeds]
+    want = reflected_complement(build_gamma(D, ordering=order, rng=rng[0]))
+    assert build_gamma(dual_defining_set(D), ordering=order, rng=rng[1]).positions == want
 
 
 def test_gamma_matches_the_tree_free_oracle():

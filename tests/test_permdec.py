@@ -21,6 +21,7 @@ from abcode.code import (AbelianCode, contains, generator_matrix,
 from abcode.gamma import CheckSet, build_gamma
 from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
                           from_orbit_reps, orbits)
+import abcode.code
 import abcode.permdec
 from abcode.permdec import (PD_MODES, PDSet, SearchConstraints, design_report,
                             design_search, enumerate_lambda, is_pd_set,
@@ -255,6 +256,67 @@ def test_pd_verdicts_match_brute_force(amb):
                     assert len(res.witness) == s
                     witness = [amb.index_of(x) for x in res.witness]
                     assert not served_by(table, info_idx, witness)
+
+
+def pd_walk_direct(amb, elements, info_set, s):
+    """The depth-first walk over prefixes, one Python call per node, with
+    the served masks as Python ints: (verdict, witness, length of the
+    unserved prefix the witness pads)."""
+    l = amb.length
+    info = {amb.index_of(tuple(t)) for t in info_set}
+    masks = [sum(1 << g for g, perm in enumerate(elements) if perm[x] not in info)
+             for x in range(l)]
+    found = None
+
+    def walk(start, acc, chosen):
+        nonlocal found
+        if acc == 0 or len(chosen) == s:
+            if acc == 0:
+                found = chosen
+            return acc == 0
+        return any(walk(x + 1, acc & masks[x], chosen + [x])
+                   for x in range(start, l - (s - len(chosen)) + 1))
+
+    if not walk(0, (1 << len(elements)) - 1, []):
+        return True, None, None
+    pad = [x for x in range(l) if x not in found][:s - len(found)]
+    return False, tuple(amb.tuple_of(x) for x in found + pad), len(found)
+
+
+def test_pd_walk_matches_the_recursive_walk(monkeypatch):
+    # random tables (permutation rows, rows of the group tables, none) and
+    # information sets, s from 1 to l; the subsets walked one, a few or
+    # the default number per block
+    rng = random.Random(31)
+    ambients = [Ambient(2, (1,)), Ambient(2, (7,)), Ambient(2, (3, 5)),
+                Ambient(3, (8,)), Ambient(4, (3, 5)), Ambient(2, (3, 1, 5))]
+    # passed; failed on an s-subset, on a shorter prefix, on the empty one
+    verdicts = {"pass": 0, "leaf": 0, "padded": 0, "root": 0}
+    for trial in range(160):
+        amb = rng.choice(ambients)
+        l = amb.length
+        kind = trial % 4
+        if kind == 0:
+            table = np.empty((0, l), dtype=np.int64)
+        elif kind == 1:
+            table = np.array([rng.sample(range(l), l)
+                              for _ in range(rng.randint(1, 150))]).reshape(-1, l)
+        else:
+            group = enumerate_lambda(amb) if kind == 2 else translation_subgroup(amb)
+            table = group[sorted(rng.sample(range(len(group)),
+                                            rng.randint(1, len(group))))]
+        info = {t for t in amb.positions() if rng.random() < rng.random()}
+        s = rng.choice([1, l, rng.randint(1, min(l, 4))])
+        want = pd_walk_direct(amb, table, info, s)
+        verdicts["pass" if want[0] else "leaf" if want[2] == s
+                 else "padded" if want[2] else "root"] += 1
+        for block in (1, 3 * (8 * -(-len(table) // 64) + 8 * s), None):
+            if block is not None:
+                monkeypatch.setattr(abcode.code, "_COMBO_BLOCK", block)
+            res = is_pd_set(amb, table, info, s)
+            monkeypatch.undo()
+            assert (res.ok, res.witness) == want[:2], (amb, len(table), s, block)
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 def test_pd_set_empty_table_fails_with_witness():
