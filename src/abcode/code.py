@@ -22,7 +22,7 @@ import numpy as np
 
 from .gamma import CheckSet
 from .gf import (FieldError, MatrixGF, ScalarField, _unpack_rows,
-                 build_context, root_of_unity, subfield_coords)
+                 build_context, kernel_basis)
 from .orbit import DefiningSet, frobenius_order
 
 _FULL_ENUM_LIMIT = 1 << 20
@@ -49,6 +49,7 @@ class AbelianCode:
         self.ctx = build_context(amb.p, amb.s, frobenius_order(amb))
         self.scalars = ScalarField(self.ctx)
         self._parity = None
+        self._reduced = None
         self._generator = None
 
     @property
@@ -72,15 +73,14 @@ def check_tensor(code: AbelianCode) -> np.ndarray:
     beta the root of unity of order L = lcm(r) and alpha_i = beta^(L / r_i),
     the entry at position j is beta^k, k = sum_i (L / r_i) e_i j_i mod L.
     beta^k lies in F_{q^d} exactly when step = L / gcd(L, q^d - 1) divides
-    k, so each orbit size d takes one subfield_coords call on beta^0,
-    beta^step, ..., and every block of that size gathers its columns from
-    the result.  parity_matrix caches the tensor.
+    k, and every block of size d gathers its columns from the coordinates
+    of beta^0, beta^step, ..., which the field context solves once per
+    (L, d) and keeps (FieldContext.root_coords).  parity_matrix caches the
+    tensor.
     """
     amb, ctx = code.ambient, code.ctx
     L = math.lcm(*amb.r)
-    powers = ctx.powers(root_of_unity(ctx, L), L)
     grid = np.indices(amb.r).reshape(amb.n, -1)
-    coords = {}
     mat = np.zeros((len(code.defining), code.length), dtype=code.scalars.dtype)
     off = 0
     for orb in code.defining.orbits():
@@ -89,9 +89,7 @@ def check_tensor(code: AbelianCode) -> np.ndarray:
         k = np.array([L // ri * ei for ri, ei in zip(amb.r, orb[0])]) @ grid % L
         if np.any(k % step):
             raise FieldError(f"element is not in F_{{q^{d}}}")
-        if d not in coords:
-            coords[d] = subfield_coords(ctx, powers[::step], d)
-        mat[off:off + d] = coords[d][k // step].T
+        mat[off:off + d] = ctx.root_coords(L, d)[k // step].T
         off += d
     return mat
 
@@ -102,9 +100,23 @@ def parity_matrix(code: AbelianCode) -> MatrixGF:
     return code._parity
 
 
+def _reduced_parity(code: AbelianCode):
+    """(R, pivots) = parity_matrix(code).rref(), reduced once per code.
+
+    The generator and the verification both read this one reduction.
+    """
+    if code._reduced is None:
+        code._reduced = parity_matrix(code).rref()
+    return code._reduced
+
+
 def generator_matrix(code: AbelianCode) -> MatrixGF:
+    """The kernel basis of the parity matrix, read off _reduced_parity.
+
+    Row t has 1 at the t-th column that is no pivot of the reduction.
+    """
     if code._generator is None:
-        code._generator = parity_matrix(code).nullspace()
+        code._generator = kernel_basis(*_reduced_parity(code))
     return code._generator
 
 
@@ -129,9 +141,16 @@ class VerifyResult:
 def verify_check_positions(code: AbelianCode, cs: CheckSet) -> VerifyResult:
     """Independent linear-algebra check that cs is a valid check-position set.
 
-    The columns of the parity matrix indexed by cs must span the full row
-    space, i.e. have rank |D|.  A cardinality mismatch is reported as its
-    own failure mode, distinct from a rank deficiency.
+    The columns of the parity matrix H indexed by cs must span the full
+    row space, i.e. have rank |D|.  A cardinality mismatch is reported as
+    its own failure mode, distinct from a rank deficiency.
+
+    The rank is read off R, the reduction of H that generator_matrix uses
+    (_reduced_parity): row operations are invertible, so rank H[:, cs] =
+    rank R[:, cs].  With P the pivot columns of R, a column of cs in P is
+    a unit column of its own, so that rank is |cs & P| plus the rank of
+    the block of R on the rows whose pivot is not in cs and the columns
+    cs - P; only that block is reduced again.
     """
     if cs.ambient != code.ambient:
         raise ValueError("check set belongs to a different ambient")
@@ -139,8 +158,17 @@ def verify_check_positions(code: AbelianCode, cs: CheckSet) -> VerifyResult:
     npos = len(cs.positions)
     if npos != expected:
         return VerifyResult(False, "cardinality", -1, expected)
-    cols = sorted(code.ambient.index_of(t) for t in cs.positions)
-    rank = len(MatrixGF(code.scalars, parity_matrix(code).data[:, cols]).rref()[1])
+    cols = np.array(sorted(code.ambient.index_of(t) for t in cs.positions),
+                    dtype=np.intp)
+    R, pivots = _reduced_parity(code)
+    pivots = np.array(pivots, dtype=np.intp)
+    in_cs = np.zeros(code.length, dtype=bool)
+    in_cs[cols] = True
+    is_pivot = np.zeros(code.length, dtype=bool)
+    is_pivot[pivots] = True
+    rows = np.flatnonzero(~in_cs[pivots])
+    block = R.data[np.ix_(rows, cols[~is_pivot[cols]])]
+    rank = len(pivots) - len(rows) + len(MatrixGF(code.scalars, block).rref()[1])
     if rank != expected:
         return VerifyResult(False, "rank", rank, expected)
     return VerifyResult(True, "ok", rank, expected)

@@ -24,6 +24,7 @@ reduction is the only one, and the subfield solvers use it over F_p.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -139,7 +140,9 @@ class FieldContext:
     The size policy lives here: p^(s*M) at most 2^64 and q = p^s at most
     4096, so int64 digit rows hold every product sum, (2 deg - 1) (p - 1)^2
     at most.  Immutable after construction; safe to share.  Heavy
-    per-subfield data (coordinate solvers) is cached lazily.
+    per-subfield data is cached lazily: the coordinate solvers per
+    subfield degree d, and for the check tensor the powers of the root of
+    unity of order L per L and their coordinates per (L, d).
     """
 
     def __init__(self, p: int, s: int, M: int):
@@ -169,6 +172,8 @@ class FieldContext:
         self.generator_rep = self._find_generator()
         self._solvers = {}
         self._eta = None
+        self._root_powers = {}
+        self._root_coords = {}
 
     # -- encoding --
 
@@ -237,6 +242,26 @@ class FieldContext:
             sol = red.data[:, ncols:].astype(np.int64)
             self._solvers[d] = (sol[:ncols], sol[ncols:])
         return self._solvers[d]
+
+    def root_coords(self, L: int, d: int):
+        """Labels over F_q of the powers of beta that lie in F_{q^d}.
+
+        beta = root_of_unity(self, L), and beta^k lies in F_{q^d} exactly
+        when step = L / gcd(L, q^d - 1) divides k; row i holds the d
+        coordinates of beta^(i step), as subfield_coords gives them.  The
+        digit rows of beta^0, ..., beta^(L-1) are cached per L and the
+        coordinates per (L, d), each in the least unsigned dtype that holds
+        them, as they live as long as the context.
+        """
+        if (L, d) not in self._root_coords:
+            if L not in self._root_powers:
+                self._root_powers[L] = self.powers(root_of_unity(self, L), L).astype(
+                    np.min_scalar_type(self.p - 1))
+            step = L // math.gcd(L, self.q**d - 1)
+            self._root_coords[L, d] = subfield_coords(
+                self, self._root_powers[L][::step], d).astype(
+                    np.min_scalar_type(self.q - 1))
+        return self._root_coords[L, d]
 
     # -- F_p-linear maps on digit rows --
 
@@ -431,7 +456,8 @@ class MatrixGF:
         col_order restricts and orders the pivot search; columns not listed
         are never used as pivots.  Over F_2 the rows are reduced bit-packed.
         Otherwise a pivot is one whole-matrix update: each row adds the
-        multiple of the negated pivot row that its pivot-column entry picks.
+        pivot row times the negation of its pivot-column entry, read from
+        a table of the pivot row's multiples by the negated labels.
         """
         f = self.field
         m, n = self.data.shape
@@ -441,6 +467,7 @@ class MatrixGF:
             rows, pivots = _rref_ints(self.row_ints(), col_order)
             return MatrixGF(f, _unpack_rows(rows, n)), pivots
         A = self.data.copy()
+        neg_labels = f.neg(np.arange(f.q, dtype=A.dtype))
         pivots = []
         for col in col_order:
             row = len(pivots)
@@ -451,32 +478,25 @@ class MatrixGF:
                 continue
             pr = row + int(nz[0])
             if pr != row:
-                A[[row, pr]] = A[[pr, row]]
+                top = A[row].copy()
+                A[row] = A[pr]
+                A[pr] = top
             inv = f.inv(int(A[row, col]))
             if inv != 1:
                 A[row] = f.mul(A[row], inv)
             fac = A[:, col].copy()
             fac[row] = 0
             if fac.any():
-                factors = np.arange(f.q, dtype=A.dtype)
+                negs = neg_labels
                 if f.q > m:  # tabulate only the factors that occur
                     factors, fac = np.unique(fac, return_inverse=True)
-                A = f.add(A, f.mul(factors[:, None], f.neg(A[row]))[fac])
+                    negs = neg_labels[factors]
+                A = f.add(A, f.mul(negs[:, None], A[row])[fac])
             pivots.append(col)
         return MatrixGF(f, A), pivots
 
     def rank(self) -> int:
         return len(self.rref()[1])
-
-    def nullspace(self):
-        """Basis of the right kernel, one row per basis vector."""
-        n = self.data.shape[1]
-        R, pivots = self.rref()
-        free = sorted(set(range(n)).difference(pivots))
-        basis = np.zeros((len(free), n), dtype=self.data.dtype)
-        basis[np.arange(len(free)), free] = 1
-        basis[:, pivots] = self.field.neg(R.data[:len(pivots)][:, free]).T
-        return MatrixGF(self.field, basis)
 
     def mul_vec(self, vec) -> np.ndarray:
         return self.field.dot(self.data, np.asarray(vec))
@@ -490,6 +510,21 @@ class MatrixGF:
 
     def __repr__(self):
         return f"MatrixGF(shape={self.data.shape}, q={self.field.q})"
+
+
+def kernel_basis(R: MatrixGF, pivots) -> MatrixGF:
+    """Basis of the right kernel of a matrix, read off its reduction.
+
+    (R, pivots) is what rref() returns with no col_order.  Free column c
+    (a column that is no pivot) gives the basis row with 1 at c and, at
+    pivot column pivots[i], minus R[i, c]; rows follow the free columns.
+    """
+    n = R.shape[1]
+    free = sorted(set(range(n)).difference(pivots))
+    basis = np.zeros((len(free), n), dtype=R.data.dtype)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = R.field.neg(R.data[:len(pivots)][:, free]).T
+    return MatrixGF(R.field, basis)
 
 
 def _rref_ints(rows, col_order):

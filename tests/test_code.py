@@ -17,14 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import abcode.code
+import abcode.gf
 import abcode.orbit
 from abcode.code import (AbelianCode, MatrixGF, check_tensor, contains,
                          distance_at_least, encode, find_low_weight_codeword,
                          generator_matrix, min_distance, parity_matrix,
                          standard_form_parity, verify_check_positions)
 from abcode.gamma import CheckSet, build_gamma
-from abcode.gf import (FieldError, ScalarField, build_context, root_of_unity,
-                       subfield_coords)
+from abcode.gf import (FieldError, ScalarField, build_context, kernel_basis,
+                       root_of_unity, subfield_coords)
 from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
                           from_orbit_reps, orbits, qorbit,
                           validate_defining_set)
@@ -208,7 +209,7 @@ def test_nullspace_properties(q):
     rng = random.Random(32)
     for m, n in shapes(rng, 5, 8):
         M = MatrixGF(sf, random_matrix(rng, q, (m, n)))
-        N = M.nullspace()
+        N = kernel_basis(*M.rref())
         assert N.shape[1] == n
         assert N.shape[0] == n - M.rank()
         for row in N.data:
@@ -356,15 +357,39 @@ def test_check_tensor_solves_once_per_orbit_size(monkeypatch):
         calls.append(d)
         return subfield_coords(ctx, a, d)
 
-    monkeypatch.setattr(abcode.code, "subfield_coords", counting)
+    monkeypatch.setattr(abcode.gf, "subfield_coords", counting)
     shared = 0
     for name, D in TENSOR_CODES.items():
+        sizes = [len(orb) for orb in D.orbits()]
+        # D again, and its last orbit alone: the same context and L
+        others = [D, DefiningSet(D.ambient, frozenset(
+            t for orb in D.orbits()[-1:] for t in orb))]
+        fresh = []
+        for other in others:
+            build_context.cache_clear()
+            fresh.append(check_tensor(AbelianCode(other)).tobytes())
+        # a fresh context solves once per distinct orbit size
+        build_context.cache_clear()
         calls.clear()
         check_tensor(AbelianCode(D))
-        sizes = [len(orb) for orb in D.orbits()]
         assert sorted(calls) == sorted(set(sizes)), name
         shared += len(sizes) - len(calls)
+        # later codes on that context and L solve nothing
+        calls.clear()
+        assert [check_tensor(AbelianCode(o)).tobytes() for o in others] == fresh
+        assert calls == [], name
+        # clearing the context cache drops the tables with the contexts
+        build_context.cache_clear()
+        check_tensor(AbelianCode(D))
+        assert sorted(calls) == sorted(set(sizes)), name
     assert shared > 0   # some orbits share a size, and so a solve
+    # one context, one orbit size, two values of L: no table is shared
+    by_l = [from_orbit_reps(Ambient(2, (3, 5)), [(1, 1)]),
+            from_orbit_reps(Ambient(2, (5,)), [(1,)])]
+    codes = [AbelianCode(D) for D in by_l]
+    assert codes[0].ctx is codes[1].ctx
+    for code in codes:
+        assert check_tensor(code).tobytes() == naive_check_tensor(code).tobytes()
 
 
 @pytest.mark.parametrize("name", ["HAMMING", "GOLAY3", "QUARTIC", "C358", "C457"])
@@ -440,6 +465,88 @@ def test_verify_empty_set():
     code = AbelianCode(DefiningSet(amb, frozenset()))
     cs = build_gamma(code.defining)
     assert verify_check_positions(code, cs)
+
+
+def verify_codes(count):
+    """Random codes with q in {2, 3, 4, 5, 7, 8, 9}, l <= 64, 0 < |D| < l
+    and |D| <= 24."""
+    rng = random.Random(43)
+    codes = []
+    while len(codes) < count:
+        q = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        amb = rng.choice(_small_ambients(q, 64))
+        members = frozenset(m for o in orbits(amb) if rng.random() < 0.5 for m in o)
+        if 0 < len(members) < amb.length and len(members) <= 24:
+            codes.append(AbelianCode(DefiningSet(amb, members)))
+    return codes
+
+
+def oracle_subsets(code, rng, count):
+    """count random |D|-subsets of the positions, as sorted indices; about
+    half of them are rank-deficient on these codes."""
+    for _ in range(count):
+        yield sorted(rng.sample(range(code.length), len(code.defining)))
+
+
+def test_verify_matches_naive_rank_with_and_without_the_generator():
+    rng = random.Random(44)
+    outcomes = set()
+    for code in verify_codes(40):
+        amb = code.ambient
+        H = parity_matrix(code).data
+        for cols in oracle_subsets(code, rng, 4):
+            want = len(naive_rref(code.scalars, H[:, cols], range(len(cols)))[1])
+            cs = CheckSet(amb, tuple(range(amb.n)),
+                          frozenset(amb.tuple_of(j) for j in cols))
+            # each subset on a fresh code, verified before and after the
+            # generator, and on a code whose generator came first
+            first = AbelianCode(code.defining)
+            got = [verify_check_positions(first, cs)]
+            generator_matrix(first)
+            got.append(verify_check_positions(first, cs))
+            second = AbelianCode(code.defining)
+            generator_matrix(second)
+            got.append(verify_check_positions(second, cs))
+            ok = want == len(cols)
+            for res in got:
+                assert (res.ok, res.reason, res.rank, res.expected) == \
+                    (ok, "ok" if ok else "rank", want, len(cols))
+            outcomes.add((ok, want < len(cols) - 1))
+    # full rank, deficient by one, and deficient by more all occur
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_parity_matrix_is_reduced_in_full_once_per_code(monkeypatch):
+    reduced = []
+    rref = MatrixGF.rref
+
+    def counting(self, col_order=None):
+        reduced.append(self.shape)
+        return rref(self, col_order)
+
+    rng = random.Random(45)
+    for code in verify_codes(10):
+        amb = code.ambient
+        # parity_matrix sets up the field, which reduces matrices of its own
+        H = parity_matrix(code)
+        _, pivots = H.rref()
+        gamma = build_gamma(code.defining)
+        sets = [sorted(amb.index_of(t) for t in gamma.positions)]
+        sets += oracle_subsets(code, rng, 3)
+        monkeypatch.setattr(MatrixGF, "rref", counting)
+        reduced.clear()
+        for cols in sets:
+            verify_check_positions(code, CheckSet(
+                amb, gamma.ordering, frozenset(amb.tuple_of(j) for j in cols)))
+        G = generator_matrix(code)
+        monkeypatch.undo()
+        # H once in full, then per set only the block of rows whose pivot
+        # is not in the set, on the set's columns that are no pivot
+        assert reduced == [H.shape] + [
+            (sum(p not in cols for p in pivots), sum(c not in pivots for c in cols))
+            for cols in sets]
+        alone = generator_matrix(AbelianCode(code.defining))
+        assert G.data.tobytes() == alone.data.tobytes()
 
 
 def _small_ambients(q, max_len=60):
