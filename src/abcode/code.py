@@ -650,7 +650,10 @@ def standard_form_parity(code: AbelianCode, cs: CheckSet):
 
     Returns (MatrixGF, check column indices).  One reduction both verifies
     cs and builds the form: the check block is invertible exactly when every
-    check column pivots.  Raises ValueError when cs fails, naming the
+    check column pivots.  It reduces R, the code's reduction of H
+    (_reduced_parity), which has H's row space, so the form with the
+    identity on cs, which that row space alone fixes, is the one a
+    reduction of H would give.  Raises ValueError when cs fails, naming the
     failure as verify_check_positions does.
     """
     if cs.ambient != code.ambient:
@@ -658,7 +661,7 @@ def standard_form_parity(code: AbelianCode, cs: CheckSet):
     if len(cs.positions) != len(code.defining):
         raise ValueError("check positions not verified: cardinality")
     cols = sorted(code.ambient.index_of(t) for t in cs.positions)
-    R, pivots = parity_matrix(code).rref(col_order=cols)
+    R, pivots = _reduced_parity(code)[0].rref(col_order=cols)
     if pivots != cols:
         raise ValueError("check positions not verified: rank")
     return R, cols

@@ -6,14 +6,19 @@ and M is chosen by the caller so that every root of unity it needs lives in
 F_{q^M}.
 
 Representation: an element is the tuple of its deg coefficients mod p, low
-degree first.  A product convolves two digit rows and maps the result
-through the digit rows of x^0, ..., x^(2 deg - 2) modulo the modulus,
-tabulated once per context.  Tuple products and powers are construction
-work; the codes compute on base-field labels (ScalarField).  Every
+degree first.  Tuple products and powers are construction work (the
+modulus and generator searches, roots of unity); the codes compute on
+base-field labels (ScalarField).  A product packs each tuple into one
+int, a digit per fixed-width slot, so one int multiply convolves them;
+every slot is then taken mod p and the slots from deg up fold back
+through x^deg = -(the modulus's low coefficients).  The modulus search
+runs Ben-Or's irreducibility test on the same packed polynomials.  Every
 deterministic choice made here (modulus, generator, subfield bases)
 follows one rule: candidates are ordered by the integer encoding
 sum(c_i * p^i) and the smallest valid one wins.  Two contexts built
-from the same (p, s, M) are therefore identical.
+from the same (p, s, M) are therefore identical, and what depends only
+on the extension F_{p^deg} is built once per deg and p, by the context
+(p, 1, deg), whichever base field asks for it.
 
 Multiplication by a fixed element is F_p-linear, so bulk work (power tables,
 basis changes, subfield solvers) runs as matrix products mod p on digit
@@ -39,73 +44,93 @@ class FieldError(ValueError):
     pass
 
 
-# ---------- dense polynomial helpers over F_p (construction time only) ----------
+# ---------- polynomials over F_p packed into one int (construction time) ----------
 
 
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+class _Packed:
+    """Polynomials over F_p packed into one int, multiplied modulo x^deg + tail.
 
+    Digit i sits in slot i, `width` bytes wide: the least of 1, 2 and 4
+    bytes that holds deg (p - 1)^2, the most a product of two reduced
+    polynomials sums into one slot, so one int multiply convolves them
+    (Kronecker substitution).  Four bytes hold it for every field the
+    size policy admits, under 9 * 10^7 at p = 4093.  Every slot is then
+    taken mod p, through bytes.translate for one-byte slots and a numpy
+    remainder on the slot array otherwise, and the slots from deg up fold
+    back through x^deg = -tail until none remain.
+    """
 
-def _poly_sub(a, b, p):
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] = (out[i] - v) % p
-    return _poly_trim(out)
+    def __init__(self, p: int, deg: int, tail):
+        self.p = p
+        self.deg = deg
+        bound = deg * (p - 1) ** 2
+        self.width = 1 if bound < 1 << 8 else 2 if bound < 1 << 16 else 4
+        self.bits = 8 * self.width
+        self.shift = self.bits * deg
+        self.low = (1 << self.shift) - 1
+        self._nbytes = (2 * deg - 1) * self.width  # the slots of a product
+        if self.width == 1:
+            self._table = (bytes(range(p)) * (256 // p + 1))[:256]  # v -> v % p
+        else:
+            self._dtype = np.dtype(f"<u{self.width}")
+        self.ntail = self.pack([-c % p for c in tail])
 
+    def pack(self, digits) -> int:
+        if self.width == 1:
+            return int.from_bytes(bytes(digits), "little")
+        return int.from_bytes(np.array(digits, self._dtype).tobytes(), "little")
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
+    def unpack(self, z: int):
+        """The deg digits of a reduced z, as a tuple of ints."""
+        raw = z.to_bytes(self.deg * self.width, "little")
+        if self.width == 1:
+            return tuple(raw)
+        return tuple(np.frombuffer(raw, self._dtype).tolist())
 
+    def slot_mod(self, z: int) -> int:
+        """z with every slot taken mod p."""
+        raw = z.to_bytes(self._nbytes, "little")
+        if self.width == 1:
+            return int.from_bytes(raw.translate(self._table), "little")
+        return int.from_bytes((np.frombuffer(raw, self._dtype) % self.p).tobytes(), "little")
 
-def _poly_mod(a, f, p):
-    # f monic
-    a = list(a)
-    df = len(f) - 1
-    while len(a) - 1 >= df and a:
-        c = a[-1]
-        if c:
-            shift = len(a) - 1 - df
-            for j in range(len(f)):
-                a[shift + j] = (a[shift + j] - c * f[j]) % p
-        a.pop()
-    return _poly_trim(a)
+    def mul(self, a: int, b: int) -> int:
+        z = self.slot_mod(a * b)
+        while z > self.low:
+            z = self.slot_mod((z & self.low) + (z >> self.shift) * self.ntail)
+        return z
 
+    def pow(self, a: int, e: int) -> int:
+        """a^e for e >= 0, by squaring."""
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            e >>= 1
+            if e:
+                a = self.mul(a, a)
+        return result
 
-def _poly_powmod(a, e, f, p):
-    result = [1]
-    base = _poly_mod(a, f, p)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, p), f, p)
-        base = _poly_mod(_poly_mul(base, base, p), f, p)
-        e >>= 1
-    return result
+    def coprime(self, a: int, b: int) -> bool:
+        """Whether a and b, reduced and not both 0, share no factor of positive degree.
 
-
-def _poly_monic(a, p):
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = [(v * inv) % p for v in a]
-    return a
-
-
-def _poly_gcd(a, b, p):
-    # _poly_mod requires a monic divisor, so normalize before each step
-    a, b = list(a), _poly_monic(list(b), p)
-    while b:
-        a, b = b, _poly_monic(_poly_mod(a, b, p), p)
-    return _poly_monic(a, p)
+        Euclid's algorithm; each division step cancels the leading digit of
+        a with a multiple of b, which sums at most (p - 1) + (p - 1)^2 into
+        a slot, within the width when deg >= 2.
+        """
+        p, bits = self.p, self.bits
+        while b:
+            db = (b.bit_length() - 1) // bits
+            inv = pow(b >> bits * db, -1, p)
+            while a and (da := (a.bit_length() - 1) // bits) >= db:
+                c = (a >> bits * da) * inv % p
+                a = self.slot_mod(a + ((p - c) * b << bits * (da - db)))
+            a, b = b, a
+        return a.bit_length() <= bits
 
 
 def _is_irreducible(f, p):
-    """Monic f over F_p, via gcd with x^(p^i) - x for i up to deg/2."""
+    """Ben-Or's test for monic f over F_p: gcd(f, x^(p^i) - x) = 1 for i up to deg/2."""
     d = len(f) - 1
     if d <= 0:
         return False
@@ -113,11 +138,13 @@ def _is_irreducible(f, p):
         return True
     if f[0] == 0:
         return False
-    h = [0, 1]
+    ar = _Packed(p, d, f[:-1])
+    packed_f = ar.pack(f)
+    x = 1 << ar.bits
+    h = x
     for _ in range(d // 2):
-        h = _poly_powmod(h, p, f, p)
-        g = _poly_gcd(f, _poly_sub(h, [0, 1], p), p)
-        if len(g) - 1 >= 1:
+        h = ar.pow(h, p)
+        if not ar.coprime(packed_f, ar.slot_mod(h + (p - 1) * x)):
             return False
     return True
 
@@ -139,10 +166,13 @@ class FieldContext:
 
     The size policy lives here: p^(s*M) at most 2^64 and q = p^s at most
     4096, so int64 digit rows hold every product sum, (2 deg - 1) (p - 1)^2
-    at most.  Immutable after construction; safe to share.  Heavy
-    per-subfield data is cached lazily: the coordinate solvers per
-    subfield degree d, and for the check tensor the powers of the root of
-    unity of order L per L and their coordinates per (L, d).
+    at most.  Immutable after construction; safe to share.  What depends
+    only on the extension (p, deg) is built once, by build_context(p, 1,
+    deg): the modulus, the generator, the x-power rows and the roots of
+    unity; a context with s > 1 takes them from there.  Heavy per-subfield
+    data is cached lazily: the base field's label tables, the coordinate
+    solvers per subfield degree d, and for the check tensor the powers of
+    the root of unity of order L per L and their coordinates per (L, d).
     """
 
     def __init__(self, p: int, s: int, M: int):
@@ -164,14 +194,20 @@ class FieldContext:
         self.q = p**s
         self.order = p**deg
         self.N = self.order - 1  # multiplicative group order
-
-        self.modulus = tuple(_lowest_irreducible(p, deg))
         self.one = (1,) + (0,) * (deg - 1)
 
-        self._xpow = self._x_powers()
-        self.generator_rep = self._find_generator()
+        if s == 1:
+            self.modulus = tuple(_lowest_irreducible(p, deg))
+            self._arith = _Packed(p, deg, self.modulus[:-1])
+            self._xpow = self._x_powers()
+            self.generator_rep = self._find_generator()
+            self._roots = {}
+        else:
+            ext = build_context(p, 1, deg)
+            self.modulus, self._arith, self._xpow = ext.modulus, ext._arith, ext._xpow
+            self.generator_rep, self._roots = ext.generator_rep, ext._roots
+        self._tables = None
         self._solvers = {}
-        self._eta = None
         self._root_powers = {}
         self._root_coords = {}
 
@@ -184,30 +220,26 @@ class FieldContext:
     # -- products of digit tuples (construction time) --
 
     def mul(self, a, b):
-        """Convolve the digit rows, then map x^k to its reduced digit row."""
-        t = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)) % self.p
-        return tuple((t @ self._xpow % self.p).tolist())
+        """The product of two digit tuples, multiplied as packed ints."""
+        ar = self._arith
+        return ar.unpack(ar.mul(ar.pack(a), ar.pack(b)))
 
     def pow(self, a, e: int):
         """a^e for e >= 0, by squaring."""
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        ar = self._arith
+        return ar.unpack(ar.pow(ar.pack(a), e))
 
     def _find_generator(self):
         if self.N == 1:
             return self.one
+        ar = self._arith
         factors = factorint(self.N)
         # encodings below p are the constants of F_p, whose orders divide
         # p - 1, so none of them generates F_{p^deg}^* when deg > 1
         for enc in range(2 if self.deg == 1 else self.p, self.order):
             rep = self.decode(enc)
-            if all(self.pow(rep, self.N // f) != self.one for f in factors):
+            g = ar.pack(rep)
+            if all(ar.pow(g, self.N // f) != 1 for f in factors):
                 return rep
         raise FieldError("no generator found (unreachable)")
 
@@ -215,9 +247,7 @@ class FieldContext:
 
     def eta(self):
         """Canonical generator of the base field F_q inside this context."""
-        if self._eta is None:
-            self._eta = root_of_unity(self, self.q - 1)
-        return self._eta
+        return root_of_unity(self, self.q - 1)
 
     def _solver(self, d: int):
         """Cached F_p-linear solver for coordinates of F_{q^d} over F_q.
@@ -314,14 +344,16 @@ def build_context(p: int, s: int, M: int) -> FieldContext:
 
 
 def root_of_unity(ctx: FieldContext, r: int):
-    """The canonical element of multiplicative order exactly r."""
+    """The canonical element of multiplicative order exactly r, cached per extension."""
     if r < 1:
         raise FieldError("order must be positive")
     if r == 1:
         return ctx.one
     if ctx.N % r != 0:
         raise FieldError(f"no element of order {r}: {r} does not divide {ctx.N}")
-    return ctx.pow(ctx.generator_rep, ctx.N // r)
+    if r not in ctx._roots:
+        ctx._roots[r] = ctx.pow(ctx.generator_rep, ctx.N // r)
+    return ctx._roots[r]
 
 
 def subfield_coords(ctx: FieldContext, a, d: int):
@@ -364,7 +396,6 @@ class ScalarField:
         self.s = ctx.s
         self.q = ctx.q
         self.dtype = np.uint8 if self.q <= 256 else np.uint16
-        self._tables = None
 
     def add(self, a, b):
         if self.p == 2:
@@ -411,9 +442,11 @@ class ScalarField:
 
         add_table is None unless p is odd and s > 1, the one case add reads
         it; labels add digit by digit, so it is built one q x q pass per
-        base-p digit.  Products of nonzero labels add their logs.
+        base-p digit.  Products of nonzero labels add their logs.  The
+        arrays are kept on the context, so every ScalarField of one
+        context shares them.
         """
-        if self._tables is None:
+        if self.ctx._tables is None:
             q, p, dtype = self.q, self.p, self.dtype
             exp = subfield_coords(self.ctx, self.ctx.powers(self.ctx.eta(), q - 1), 1)
             exp = exp[:, 0].astype(dtype)
@@ -429,8 +462,8 @@ class ScalarField:
                     add_table += np.add.outer(digit, digit) % p * p**j
             mul_table = exp[np.add.outer(log, log) % (q - 1)]
             mul_table[0] = mul_table[:, 0] = 0
-            self._tables = (add_table, mul_table, log, exp)
-        return self._tables
+            self.ctx._tables = (add_table, mul_table, log, exp)
+        return self.ctx._tables
 
     def __repr__(self):
         return f"ScalarField(q={self.q})"

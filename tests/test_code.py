@@ -516,12 +516,39 @@ def test_verify_matches_naive_rank_with_and_without_the_generator():
     assert outcomes == {(True, False), (False, False), (False, True)}
 
 
+def test_scalar_tables_are_built_once_per_field_context(monkeypatch):
+    solved = []
+    coords = abcode.gf.subfield_coords
+
+    def counting(ctx, a, d):
+        solved.append(ctx)
+        return coords(ctx, a, d)
+
+    monkeypatch.setattr(abcode.gf, "subfield_coords", counting)
+    build_context.cache_clear()
+    amb = Ambient(4, (5,))
+    first, second = (AbelianCode(from_orbit_reps(amb, reps))
+                     for reps in ([(1,)], [(0,), (1,)]))
+    assert first.ctx is second.ctx and first.scalars is not second.scalars
+    tables = first.scalars.tables()
+    assert second.scalars.tables() is tables
+    assert len(solved) == 1
+    # the tables go with the context
+    build_context.cache_clear()
+    third = AbelianCode(from_orbit_reps(amb, [(1,)]))
+    assert third.ctx is not first.ctx
+    assert third.scalars.tables() is not tables
+    assert len(solved) == 2
+    for old, new in zip(tables, third.scalars.tables()):
+        assert (old is None and new is None) or np.array_equal(old, new)
+
+
 def test_parity_matrix_is_reduced_in_full_once_per_code(monkeypatch):
     reduced = []
     rref = MatrixGF.rref
 
     def counting(self, col_order=None):
-        reduced.append(self.shape)
+        reduced.append((self, self.shape))
         return rref(self, col_order)
 
     rng = random.Random(45)
@@ -539,12 +566,17 @@ def test_parity_matrix_is_reduced_in_full_once_per_code(monkeypatch):
             verify_check_positions(code, CheckSet(
                 amb, gamma.ordering, frozenset(amb.tuple_of(j) for j in cols)))
         G = generator_matrix(code)
+        S, std_cols = standard_form_parity(code, gamma)
         monkeypatch.undo()
         # H once in full, then per set only the block of rows whose pivot
-        # is not in the set, on the set's columns that are no pivot
-        assert reduced == [H.shape] + [
+        # is not in the set, on the set's columns that are no pivot, and
+        # the standard form from the reduction R, not from H
+        R, _ = abcode.code._reduced_parity(code)
+        assert [shape for _, shape in reduced] == [H.shape] + [
             (sum(p not in cols for p in pivots), sum(c not in pivots for c in cols))
-            for cols in sets]
+            for cols in sets] + [H.shape]
+        assert reduced[0][0] is H and reduced[-1][0] is R
+        assert S.data.tobytes() == H.rref(col_order=std_cols)[0].data.tobytes()
         alone = generator_matrix(AbelianCode(code.defining))
         assert G.data.tobytes() == alone.data.tobytes()
 

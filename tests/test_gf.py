@@ -6,11 +6,13 @@ once from those oracles and are asserted verbatim; the oracle checks stay
 in place so a regression points at the real culprit.
 """
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
+import abcode.gf as gf
 from abcode.gf import (FieldContext, FieldError, ScalarField, build_context,
                        root_of_unity, subfield_coords)
 from field_fixtures import Labels, elem_add, elem_neg, element
@@ -146,6 +148,48 @@ def test_frozen_generators(p, s, M):
         encoding_to_digits(FROZEN_GENERATORS[(p, s, M)], p, ctx.deg))
 
 
+# moduli and generator encodings of extensions whose products use slots
+# wider than one byte, as the list-polynomial search found them
+WIDE_SLOT_PINS = {
+    (5, 1, 16): ((2,) + (0,) * 15 + (1,), 6),
+    (7, 1, 8): ((3, 1, 0, 0, 0, 0, 0, 0, 1), 7),
+    (11, 1, 3): ((4, 1, 0, 1), 11),
+    (13, 1, 2): ((2, 0, 1), 15),
+}
+
+
+@pytest.mark.parametrize("p,s,M", sorted(WIDE_SLOT_PINS))
+def test_wide_slot_moduli_and_generators(p, s, M):
+    ctx = build_context(p, s, M)
+    modulus, gen_enc = WIDE_SLOT_PINS[(p, s, M)]
+    assert ctx.modulus == modulus
+    assert ctx.generator_rep == tuple(encoding_to_digits(gen_enc, p, ctx.deg))
+
+
+# every context that criterion 06's 500 codes, the benchmark's certify codes
+# and its CLI goldens build (the last two build a subset of the first)
+SUITE_CONTEXTS = [
+    (2, 1, 1), (2, 1, 2), (2, 1, 3), (2, 1, 4), (2, 1, 6), (2, 1, 8),
+    (2, 1, 10), (2, 1, 11), (2, 1, 12), (2, 1, 18), (2, 1, 22), (2, 1, 24),
+    (2, 1, 28), (2, 1, 30), (2, 1, 36), (2, 1, 44), (2, 2, 1), (2, 2, 2),
+    (2, 2, 3), (2, 2, 4), (2, 2, 5), (2, 2, 6), (2, 2, 9), (2, 2, 10),
+    (2, 2, 11), (2, 2, 12), (2, 2, 14), (2, 2, 15), (2, 2, 18), (2, 2, 22),
+    (3, 1, 1), (3, 1, 2), (3, 1, 3), (3, 1, 4), (3, 1, 5), (3, 1, 6),
+    (3, 1, 8), (3, 1, 10), (3, 1, 11), (3, 1, 12), (3, 1, 16), (3, 1, 18),
+    (3, 1, 20), (3, 1, 22), (3, 1, 28), (3, 1, 30), (3, 1, 36),
+]
+# recorded with the convolution product and the list-polynomial searches
+SUITE_CONTEXT_DIGEST = "2a41ad25521352d8c01c854eb43d07a127c159ade666deed8f8f31e5783b765e"
+
+
+def test_suite_contexts_are_pinned():
+    h = hashlib.sha256()
+    for p, s, M in SUITE_CONTEXTS:
+        ctx = build_context(p, s, M)
+        h.update(repr((p, s, M, ctx.modulus, ctx.generator_rep, ctx.eta())).encode())
+    assert h.hexdigest() == SUITE_CONTEXT_DIGEST
+
+
 def test_contexts_with_same_parameters_agree():
     a = build_context(2, 1, 4)
     b = FieldContext(2, 1, 4)
@@ -155,12 +199,60 @@ def test_contexts_with_same_parameters_agree():
     assert a.generator_rep == b.generator_rep
 
 
-# wide contexts: deg up to 44, where the convolution reaches x^86
+@pytest.fixture
+def search_counts(monkeypatch):
+    """Counts of modulus and generator searches, from an empty field cache."""
+    counts = {"modulus": 0, "generator": 0}
+    lowest, find = gf._lowest_irreducible, FieldContext._find_generator
+
+    def counting_lowest(p, d):
+        counts["modulus"] += 1
+        return lowest(p, d)
+
+    def counting_find(self):
+        counts["generator"] += 1
+        return find(self)
+
+    monkeypatch.setattr(gf, "_lowest_irreducible", counting_lowest)
+    monkeypatch.setattr(FieldContext, "_find_generator", counting_find)
+    build_context.cache_clear()
+    yield counts
+    build_context.cache_clear()
+
+
+@pytest.mark.parametrize("M", [3, 11, 22])
+def test_extension_is_built_once_for_both_base_fields(search_counts, M):
+    ctx = build_context(2, 2, M)
+    twin = build_context(2, 1, 2 * M)
+    assert search_counts == {"modulus": 1, "generator": 1}
+    assert ctx.modulus == twin.modulus and ctx.generator_rep == twin.generator_rep
+    assert root_of_unity(ctx, 3) is root_of_unity(twin, 3)
+    # built directly, a context equals the cached one and searches nothing
+    direct = FieldContext(2, 2, M)
+    assert search_counts == {"modulus": 1, "generator": 1}
+    assert (direct.p, direct.s, direct.M, direct.q, direct.order) == \
+        (ctx.p, ctx.s, ctx.M, ctx.q, ctx.order)
+    assert direct.modulus == ctx.modulus and direct.generator_rep == ctx.generator_rep
+    assert direct.eta() == ctx.eta()
+    assert np.array_equal(direct.powers(direct.eta(), 3), ctx.powers(ctx.eta(), 3))
+    # nothing of either field survives the cache
+    build_context.cache_clear()
+    build_context(2, 1, 2 * M)
+    build_context(2, 2, M)
+    assert search_counts == {"modulus": 2, "generator": 2}
+
+
+# wide contexts: deg up to 44, where a product reaches x^86 before the fold
 WIDE_CONTEXTS = [(2, 1, 44), (2, 2, 22), (3, 1, 36), (5, 1, 3)]
+# the largest degrees at p = 2 and 3, and pairs on either side of the
+# largest degree whose product slots deg (p - 1)^2 fit in one byte, with
+# the slot width in bytes each one packs into
+SLOT_WIDTHS = {(2, 1, 64): 1, (3, 1, 40): 1, (5, 1, 15): 1, (5, 1, 16): 2,
+               (7, 1, 7): 1, (7, 1, 8): 2, (4093, 1, 2): 4}
 
 
 @pytest.mark.parametrize("p,s,M", [(2, 1, 4), (3, 1, 2), (5, 1, 2), (2, 2, 2)]
-                         + WIDE_CONTEXTS)
+                         + WIDE_CONTEXTS + sorted(SLOT_WIDTHS))
 def test_mul_matches_naive_polynomials(p, s, M):
     ctx = build_context(p, s, M)
     rng = random.Random(11)
@@ -169,6 +261,8 @@ def test_mul_matches_naive_polynomials(p, s, M):
         a = ctx.decode(rng.randrange(ctx.order))
         b = ctx.decode(rng.randrange(ctx.order))
         assert list(ctx.mul(a, b)) == poly_mul_mod(a, b, mod, p)
+    if (p, s, M) in SLOT_WIDTHS:
+        assert ctx._arith.width == SLOT_WIDTHS[(p, s, M)]
 
 
 LINEAR_CONTEXTS = [(2, 1, 4), (2, 2, 2), (2, 2, 3), (3, 1, 2), (3, 2, 1), (5, 1, 2)]

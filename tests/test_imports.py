@@ -1,5 +1,6 @@
 """Every module-level import, and every private module-level name of the
-package, is read somewhere in its module.
+package, is read somewhere in its module, and every int.to_bytes and
+int.from_bytes call names its length and byte order.
 
 The import scan covers the package modules (apart from __init__.py, whose
 imports are re-exports) and the test modules.  A name counts as read when
@@ -8,6 +9,9 @@ annotations and attribute roots such as `abcode` in
 `abcode.code.factorint`.  The private-name scan covers the package modules:
 a function, class or constant whose name starts with one underscore is
 module-internal, so one that its own module never reads is dead code.
+Python 3.10, the oldest the package supports, has no default length or
+byte order for the int byte conversions; the byte scan covers the package
+and test modules.
 """
 
 import ast
@@ -78,3 +82,23 @@ def test_scan_flags_an_unread_private_name():
               "def _f():\n    return _B\n\n\nclass _K:\n    pass\n\n\n"
               "def _g():\n    _K()\n")
     assert unread_private_names(source) == [(1, "_A"), (5, "_f"), (13, "_g")]
+
+
+def bytes_calls_short_of_arguments(source):
+    """(line, method) of each to_bytes or from_bytes call with fewer than two arguments."""
+    return sorted((node.lineno, node.func.attr) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("to_bytes", "from_bytes")
+                  and len(node.args) + len(node.keywords) < 2)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_int_byte_conversions_name_length_and_byte_order(path):
+    assert bytes_calls_short_of_arguments(path.read_text()) == []
+
+
+def test_scan_flags_a_byte_conversion_short_of_arguments():
+    source = ("a = (5).to_bytes(1)\nb = (5).to_bytes(1, 'little')\n"
+              "c = int.from_bytes(b'x')\nd = int.from_bytes(b'x', byteorder='big')\n"
+              "e = x.tobytes()\n")
+    assert bytes_calls_short_of_arguments(source) == [(1, "to_bytes"), (3, "from_bytes")]
