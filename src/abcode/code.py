@@ -211,13 +211,21 @@ def _combo(rows, bits):
         operator.xor, (row for b, row in enumerate(rows) if bits >> b & 1), 0)
 
 
+def _pack_words(bits):
+    """An (m, n) 0/1 or bool array as little-endian uint64 words, an
+    (m, max(1, ceil(n / 64))) array: bit b of word c is column 64 c + b."""
+    m, n = bits.shape
+    out = np.zeros((m, 8 * max(1, -(-n // 64))), dtype=np.uint8)
+    out[:, :-(-n // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out.view("<u8")
+
+
 def _words(rows, cols):
-    """The rows restricted to cols (bit b = column cols[b]) as uint64 words,
-    a (len(rows), max(1, ceil(len(cols) / 64))) array."""
-    bits = np.zeros((len(rows), 64 * max(1, -(-len(cols) // 64))), dtype=np.uint8)
-    if rows and cols:
-        bits[:, :len(cols)] = _unpack_rows(rows, max(cols) + 1)[:, cols]
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    """The int rows restricted to cols (bit b = column cols[b]) as uint64
+    words, a (len(rows), max(1, ceil(len(cols) / 64))) array."""
+    if not (rows and cols):
+        return _pack_words(np.zeros((len(rows), 0), dtype=np.uint8))
+    return _pack_words(_unpack_rows(rows, max(cols) + 1)[:, cols])
 
 
 def _span(words, gray=False):
@@ -350,15 +358,14 @@ def _gray_min(rows, l, budget=None):
     dist[hi_S] + wt(hi & ~S), one gather for all of them at once; hi = 0
     scans the table, zero word excluded.
 
-    A whole sweep (no budget, or one of at least 2^k) with 20 < k < 40
-    cuts at the first of k // 2, k // 2 + 1, ..., split - 1 that shares
-    fewer than 20 columns: rows cut..split-1 run in binary order inside
-    each Gray step, so (step, those rows, table index) is the order of
-    (step, 2^split table index).  Otherwise a sweep of more than one step
-    is screened at the split when |S| < split, and else each step scans
-    the 2^split table.  Walked combinations are
-    evaluated in blocks of at most 2^20, so no table or block holds more
-    than 2^20 words of 64 columns each.
+    A sweep of more than one step is screened at the first cut c of lo,
+    lo + 1, ..., split that shares fewer than split columns, where lo is
+    min(k // 2, split) for a whole sweep (no budget, or one of at least
+    2^k) and split otherwise; with no such cut each step scans the 2^split
+    table.  Rows c..split-1 run in binary order inside each Gray step, so
+    (step, those rows, table index) is the order of (step, 2^split table
+    index).  Walked combinations are evaluated in blocks of at most 2^20,
+    so no table or block holds more than 2^20 words of 64 columns each.
 
     Under a budget b the table holds at most 2^floor(log2 b) combinations
     (at least 2), and no step runs that would take the evaluations past b;
@@ -378,46 +385,18 @@ def _gray_min(rows, l, budget=None):
     def shared(cut):
         return (_or_rows(rows[:cut]) & _or_rows(rows[cut:])).bit_count()
 
-    cuts = range(min(k // 2, split), split) if whole and k > 20 else ()
-    cut = next((c for c in cuts if shared(c) < 20), None)
+    lo = min(k // 2, split) if whole else split
+    cuts = range(lo, split + 1) if steps > 1 else ()
+    cut = next((c for c in cuts if shared(c) < split), None)
     if steps == 0:
         found = None
     elif cut is not None:
         found = _screened_sweep(rows, l, cut, split, steps)
-    elif steps > 1 and shared(split) < split:
-        found = _screened_sweep(rows, l, split, split, steps)
     else:
         found = _scan_sweep(rows, l, split, steps)
     if found is None:
         return l, None, evals, False
     return found[0], found[1], evals, whole
-
-
-def _enum_weight_min_bits(rows, w, best):
-    """Scan all XOR combinations of exactly w bit-packed rows.
-
-    Returns (weight, int) of the first combination lighter than best, or
-    (best, None) when none is.
-    """
-    k = len(rows)
-    wit = None
-
-    def rec(start, acc, rem):
-        nonlocal best, wit
-        if rem == 1:
-            for i in range(start, k):
-                v = acc ^ rows[i]
-                wt = v.bit_count()
-                if wt and wt < best:
-                    best = wt
-                    wit = v
-        else:
-            for i in range(start, k - rem + 1):
-                rec(i + 1, acc ^ rows[i], rem - 1)
-
-    if w >= 1 and k >= w:
-        rec(0, 0, w)
-    return best, wit
 
 
 def combination_blocks(vals, m, w, combine):
@@ -461,22 +440,49 @@ def combination_blocks(vals, m, w, combine):
             stack.append((items, values, np.cumsum(end + m - (item // m + 1) * m), 0))
 
 
-def _enum_weight_min_labels(f, multiples, w, best):
-    """Scan all sums of c_i * row_i over exactly w rows and nonzero c_i.
+def _scan_items(f, rows):
+    """The items of _bz_min's weight-w scan over the (k, l) label rows:
+    (vals, m, combine, weight, labels), labels turning a sum back into l
+    labels.
 
-    multiples[i, c - 1] holds c * row_i; combinations run in lexicographic
-    order of (row, scalar), a block of them at a time, each block's
-    weights counted at once.  Returns (weight, label array) of the first
-    sum lighter than best, or (best, None) when none is.
+    For q = 2 an item is a row packed into 64-bit words, summed by XOR and
+    weighed by its set bits; otherwise it is one of the rows' q - 1 nonzero
+    multiples, in (row, scalar) order, summed in the field and weighed by
+    its nonzero labels.
     """
-    k, m, l = multiples.shape
+    k, l = rows.shape
+    if f.q == 2:
+        def weight(sums):
+            return np.bitwise_count(sums).sum(axis=1)
+
+        def labels(word):
+            return np.unpackbits(word.view(np.uint8), count=l, bitorder="little")
+
+        return _pack_words(rows), 1, np.bitwise_xor, weight, labels
+
+    def weight(sums):
+        return np.count_nonzero(sums, axis=1)
+
+    nonzero = np.arange(1, f.q, dtype=rows.dtype)[:, None]
+    vals = f.mul(rows[:, None, :], nonzero).reshape(k * (f.q - 1), l)
+    return vals, f.q - 1, f.add, weight, np.asarray
+
+
+def _weight_w_min(vals, m, combine, weight, w, best):
+    """The first nonzero combination of w items of vals lighter than best,
+    in the lexicographic order of combination_blocks.
+
+    weight maps a (b, width) block of values to their b weights, 0 for a
+    zero value.  Returns (weight, value) of that combination, or (best,
+    None) when there is none.
+    """
     wit = None
-    if 1 <= w <= k:
-        for _, sums in combination_blocks(multiples.reshape(k * m, l), m, w, f.add):
-            wt = np.count_nonzero(sums, axis=1)
-            wt[wt == 0] = l + 1
+    if 1 <= w <= len(vals) // m:
+        for _, sums in combination_blocks(vals, m, w, combine):
+            wt = weight(sums)
+            wt[wt == 0] = best
             i = int(np.argmin(wt))
-            if wt[i] < min(best, l + 1):
+            if wt[i] < best:
                 best, wit = int(wt[i]), sums[i].copy()
     return best, wit
 
@@ -497,31 +503,17 @@ def _bz_min(G, budget=None, decide_at_least=None):
     translates gives d * k >= l * (w + 1).  Over F_2, when every generator
     row has even weight, all codewords do, so an odd bound is rounded up.
 
-    Only the weight-w enumeration depends on q: XOR of bit-packed rows for
-    q = 2, one recursive call per combination; otherwise sums of the rows'
-    nonzero multiples, a block of about _COMBO_BLOCK bytes at a time in
-    lexicographic order of (row, scalar), each block's weights counted at
-    once.  Either way the witness is the first lightest nonzero sum of w
-    rows in that order.
+    The weight-w pass is one walk of combination_blocks for every q, a
+    block of about _COMBO_BLOCK bytes at a time in lexicographic order,
+    each block's weights counted at once; only the items, their sum and
+    their weight depend on q (_scan_items), on 64-bit words for q = 2.
+    The witness is the first lightest nonzero sum of w rows in that order.
     """
     f = G.field
     k, l = G.shape
     red, _ = G.rref()
-    if f.q == 2:
-        even = not np.any(np.count_nonzero(G.data, axis=1) % 2)
-        packed = red.row_ints()
-
-        def scan(w, best):
-            best, x = _enum_weight_min_bits(packed, w, best)
-            return best, (None if x is None else _unpack_rows([x], l)[0])
-    else:
-        even = False
-        nonzero = np.arange(1, f.q, dtype=G.data.dtype)[:, None]
-        multiples = f.mul(red.data[:, None, :], nonzero)
-
-        def scan(w, best):
-            return _enum_weight_min_labels(f, multiples, w, best)
-
+    even = f.q == 2 and not np.any(np.count_nonzero(G.data, axis=1) % 2)
+    vals, m, combine, weight, labels = _scan_items(f, red.data)
     ub = l + 1
     wit = None
     evals = 0
@@ -540,9 +532,9 @@ def _bz_min(G, budget=None, decide_at_least=None):
         if budget is not None and evals + cost > budget:
             return lb, upper, wit, evals
         evals += cost
-        new_ub, new_wit = scan(w, ub)
+        new_ub, new_wit = _weight_w_min(vals, m, combine, weight, w, ub)
         if new_wit is not None:
-            ub, wit = new_ub, new_wit
+            ub, wit = new_ub, labels(new_wit)
 
 
 def _full_min(G, budget=None):

@@ -19,7 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .code import AbelianCode, MatrixGF, combination_blocks, distance_at_least
+from .code import (AbelianCode, MatrixGF, _pack_words, combination_blocks,
+                   distance_at_least)
 from .gamma import CheckSet, build_gamma
 from .orbit import Ambient, DefiningSet, frobenius_order, orbits
 
@@ -157,11 +158,8 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
     l = amb.length
     check_pd_errors(l, s, budget)
     elements = _group_table(amb, elements)
-    # served[x, g]: row g moves position x outside the information set
-    served = ~_info_mask(amb, info_set)[elements.T]
-    packed = np.zeros((l, -(-len(elements) // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-len(elements) // 8)] = np.packbits(served, axis=1, bitorder="little")
-    masks = packed.view("<u8")
+    # bit g of masks[x]: row g moves position x outside the information set
+    masks = _pack_words(~_info_mask(amb, info_set)[elements.T])
     for subsets, acc in combination_blocks(masks, 1, s, np.bitwise_and):
         unserved = (acc == 0).all(axis=1)
         if unserved.any():
@@ -283,7 +281,6 @@ class SearchConstraints:
 class SearchHit:
     defining: DefiningSet
     dimension: int
-    check_set: CheckSet
     d_min_passed: Optional[int]
     pd_ok: Optional[bool]
 
@@ -326,13 +323,12 @@ def design_search(amb: Ambient, constraints: SearchConstraints):
             if not distance_at_least(code, constraints.d_min):
                 continue
             d_passed = constraints.d_min
-        cs = build_gamma(ds)
         pd_ok = None
         if pd_check is not None:
-            pd_ok = pd_check(code, cs)
+            pd_ok = pd_check(code, build_gamma(ds))
             if not pd_ok:
                 continue
-        hits.append(SearchHit(ds, k, cs, d_passed, pd_ok))
+        hits.append(SearchHit(ds, k, d_passed, pd_ok))
     hits.sort(key=lambda h: (-h.dimension, h.defining.sorted_members()))
     return hits
 

@@ -50,9 +50,11 @@ C457 = from_orbit_reps(Ambient(4, (5, 7)),                    # [35, 14, 10]
 C59 = from_orbit_reps(Ambient(2, (5, 9)), [(1, 2), (1, 6)])  # [45, 29, 5]
 C77 = from_orbit_reps(Ambient(2, (7, 7)),                     # [49, 27, 8]
                       [(0, 0), (1, 0), (1, 2), (1, 4), (3, 0), (3, 1), (3, 4), (3, 5)])
+C513 = from_orbit_reps(Ambient(2, (5, 13)),                   # [65, 40, 8]
+                       [(0, 0), (0, 1), (1, 1)])
 NAMED = {"HAMMING": HAMMING, "GOLAY3": GOLAY3, "QUARTIC": QUARTIC,
          "TWO_AXIS": TWO_AXIS, "C9": C9, "C315": C315, "C345": C345,
-         "C358": C358, "C457": C457, "C59": C59, "C77": C77}
+         "C358": C358, "C457": C457, "C59": C59, "C77": C77, "C513": C513}
 
 
 # ---------- naive linear algebra oracle ----------
@@ -243,6 +245,22 @@ def test_row_ints_binary_roundtrip():
         R, pivots = M.rref(col_order=[])
         assert pivots == []
         assert np.array_equal(R.data, data)
+
+
+def test_pack_words_against_bit_sums():
+    # bit b of word c is column 64 c + b; at least one word per row, all
+    # zero for no columns, and no rows give no words
+    rng = np.random.default_rng(35)
+    for m, n in ((3, 0), (0, 5), (0, 0), (3, 1), (4, 63), (4, 64), (4, 65), (2, 130)):
+        bits = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+        for arr in (bits, bits.astype(bool)):
+            words = abcode.code._pack_words(arr)
+            assert words.shape == (m, max(1, -(-n // 64)))
+            assert words.dtype == np.dtype("<u8")
+            for row, packed in zip(bits, words):
+                assert [int(v) for v in packed] == [
+                    sum(int(row[j]) << (j - 64 * c) for j in range(64 * c, min(n, 64 * c + 64)))
+                    for c in range(len(packed))]
 
 
 # ---------- parity / generator / membership ----------
@@ -772,6 +790,10 @@ PINNED_DISTANCES = {
                      "00001100000110000011000001100000110"),
     ("C59", "gray"): (5, 5, "gray", 1 << 29,
                       "100000000100000000100000000100000000100000000"),
+    ("C59", "bz"): (5, 5, "bz", 4089,
+                    "100000000100000000000000100000100000000000100"),
+    ("C513", "bz"): (8, 8, "bz", 10700,
+                     "01000000000000000000000000000000000000001000000110010000000011001"),
     ("C77", "auto"): (8, 8, "gray", 1 << 27,
                       "0010111101110000000000000000000000000000000000000"),
 }
@@ -1122,6 +1144,31 @@ def test_full_enumeration_matches_direct(q):
         assert abcode.code._full_min(G, want[3] - 1) == (1, code.length, None, 0)
 
 
+def bits_min_direct(rows, w, best):
+    """One XOR per prefix of int rows, recursively, in lexicographic order:
+    the first nonzero sum lighter than best, as (weight, int), or
+    (best, None)."""
+    k = len(rows)
+    wit = None
+
+    def rec(start, acc, rem):
+        nonlocal best, wit
+        if rem == 1:
+            for i in range(start, k):
+                v = acc ^ rows[i]
+                wt = v.bit_count()
+                if wt and wt < best:
+                    best = wt
+                    wit = v
+        else:
+            for i in range(start, k - rem + 1):
+                rec(i + 1, acc ^ rows[i], rem - 1)
+
+    if w >= 1 and k >= w:
+        rec(0, 0, w)
+    return best, wit
+
+
 def labels_min_direct(f, multiples, w, best):
     """One f.add per (row, scalar) prefix, recursively, in lexicographic
     order: the first nonzero sum lighter than best, as (weight, labels),
@@ -1147,40 +1194,59 @@ def labels_min_direct(f, multiples, w, best):
     return best, wit
 
 
-@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def weight_w_direct(f, rows, w, best):
+    """bits_min_direct on the rows as ints for q = 2, labels_min_direct on
+    their nonzero multiples otherwise; the witness as a list of labels."""
+    l = rows.shape[1]
+    if f.q == 2:
+        best, wit = bits_min_direct(
+            [sum(int(v) << j for j, v in enumerate(row)) for row in rows], w, best)
+        return best, None if wit is None else [wit >> j & 1 for j in range(l)]
+    nonzero = np.arange(1, f.q, dtype=f.dtype)[:, None]
+    best, wit = labels_min_direct(f, f.mul(rows[:, None, :], nonzero), w, best)
+    return best, None if wit is None else wit.tolist()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_weight_w_scan_matches_the_recursive_walk(monkeypatch, q):
-    # random label rows, in some of them a nonzero row twice, so that sums
-    # of two rows vanish; blocks of one combination, of a few and of the
-    # default size
+    # random rows, in some of them a nonzero row twice, so that sums of two
+    # rows vanish; binary rows also 60 to 131 columns wide, on both sides of
+    # one and two 64-bit words; blocks of one combination, of a few and of
+    # the default size
     rng = np.random.default_rng(q)
     amb = Ambient(q, (1,))
     f = ScalarField(build_context(amb.p, amb.s, 1))
-    nonzero = np.arange(1, q, dtype=f.dtype)[:, None]
-    found = repeated = 0
-    for _ in range(16):
-        k, l = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    found = repeated = wide = 0
+    for _ in range(16 if q > 2 else 32):
+        k, l = int(rng.integers(1, 7 if q > 2 else 9)), int(rng.integers(1, 9))
+        if q == 2 and rng.random() < 0.5:
+            l += int(rng.choice((59, 123)))
         rows = rng.integers(0, q, size=(k, l)).astype(f.dtype)
         if k > 2 and rng.random() < 0.5:
             rows[int(rng.integers(1, k))] = rows[0]
             repeated += bool(rows[0].any())
-        multiples = f.mul(rows[:, None, :], nonzero)
+        vals, m, combine, weight, labels = abcode.code._scan_items(f, rows)
+        few = 4 * (vals.shape[1] * vals.itemsize + 32)
         for w in range(k + 2):
             if math.comb(k, w) * (q - 1) ** w > 500:
                 continue
             for best in (l + 1, int(rng.integers(1, 4))):
-                want = labels_min_direct(f, multiples, w, best)
+                want = weight_w_direct(f, rows, w, best)
                 found += want[1] is not None and w > 1
-                for block in (1, 4 * (l + 32), None):
+                wide += want[1] is not None and w > 1 and l > 64
+                for block in (1, few, None):
                     if block is not None:
                         monkeypatch.setattr(abcode.code, "_COMBO_BLOCK", block)
-                    got = abcode.code._enum_weight_min_labels(f, multiples, w, best)
+                    got = abcode.code._weight_w_min(vals, m, combine, weight, w, best)
                     monkeypatch.undo()
                     assert got[0] == want[0]
                     assert (got[1] is None) == (want[1] is None)
                     if got[1] is not None:
-                        assert got[1].dtype == f.dtype
-                        assert got[1].tolist() == want[1].tolist()
+                        wit = labels(got[1])
+                        assert wit.dtype == f.dtype
+                        assert wit.tolist() == want[1]
     assert found >= 10 and repeated >= 2
+    assert q > 2 or wide >= 20
 
 
 def test_translate_bound_moves_the_bracket():

@@ -580,7 +580,7 @@ def test_design_search_two_error_battery():
         assert h.dimension == 29
         assert h.d_min_passed == 5
         assert h.pd_ok is True
-        assert len(h.check_set) == len(h.defining) == 16
+        assert len(h.defining) == 16
     report = design_report(amb, hits)
     assert "6 hit(s)" in report
     assert report.count("k=29") == 6
