@@ -34,14 +34,10 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .limits import MAX_FIELD_BITS, FieldError
 from .nt import factorint, isprime
 
-MAX_FIELD_BITS = 64
 MAX_BASE_FIELD = 4096  # q = p^s; ScalarField tabulates q x q label tables
-
-
-class FieldError(ValueError):
-    pass
 
 
 # ---------- polynomials over F_p packed into one int (construction time) ----------
@@ -381,13 +377,14 @@ class ScalarField:
 
     Labels follow the same encoding as subfield_coords.  Addition is
     digitwise mod p, so XOR for p = 2; products go through the ambient
-    context's powers of eta, and -a is a times the label p - 1, which is
-    -1 in F_p.  With s > 1, products and, for odd p, sums read tables
-    built once.  add, neg, sub and mul take a label array a (and b, an
-    array broadcastable with it or one label) and return an array of a's
-    dtype; dot fuses mul with a row sum, and inv takes one label.  For
-    s = 1 add sums in an unsigned type holding 2p - 2, mul in int32, which
-    holds p^2 as the context bounds q, and dot in int64.
+    context's powers of eta.  -a is a copy of a for p = 2 and p - a (0 for
+    a = 0) for s = 1, both in a's dtype; otherwise it is a times the label
+    p - 1, which is -1 in F_p.  With s > 1, products and, for odd p, sums
+    read tables built once.  add, neg, sub and mul take a label array a
+    (and b, an array broadcastable with it or one label) and return an
+    array of a's dtype; dot fuses mul with a row sum, and inv takes one
+    label.  For s = 1 add sums in an unsigned type holding 2p - 2, mul in
+    int32, which holds p^2 as the context bounds q, and dot in int64.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -407,6 +404,10 @@ class ScalarField:
         return np.minimum(t, t - self.p, out=t).astype(a.dtype, copy=False)
 
     def neg(self, a):
+        if self.p == 2:
+            return a.copy()
+        if self.s == 1:
+            return (self.p - a) % self.p   # a's dtype holds p
         return self.mul(a, self.p - 1)
 
     def sub(self, a, b):

@@ -18,7 +18,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .gf import MAX_FIELD_BITS, FieldError
+from .limits import MAX_FIELD_BITS, MAX_LENGTH, FieldError
 from .nt import prime_power
 
 
@@ -47,8 +47,9 @@ def as_int(value, what: str) -> int:
 class Ambient:
     """The index space Z_{r_1} x ... x Z_{r_n} together with the field size q.
 
-    q = p^s is a prime power within the 64-bit field-size policy; p and s
-    take no part in equality."""
+    q = p^s is a prime power within the 64-bit field-size policy, and the
+    length r_1 * ... * r_n is at most MAX_LENGTH; p and s take no part in
+    equality."""
 
     q: int
     r: tuple
@@ -78,6 +79,9 @@ class Ambient:
         p, s = split
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
+        if self.length > MAX_LENGTH:
+            raise ValueError(f"length {self.length} exceeds the limit of "
+                             f"{MAX_LENGTH} positions")
 
     @property
     def n(self) -> int:

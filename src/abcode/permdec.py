@@ -22,11 +22,10 @@ import numpy as np
 from .code import (AbelianCode, MatrixGF, _pack_words, combination_blocks,
                    distance_at_least)
 from .gamma import CheckSet, build_gamma
+from .limits import PD_MODE_NAMES, PD_SUBSET_BUDGET, SEARCH_BUDGET
 from .orbit import Ambient, DefiningSet, frobenius_order, orbits
 
-PD_SUBSET_BUDGET = 2_000_000   # s-subsets is_pd_set may walk
 GROUP_TABLE_BUDGET = 1 << 25   # int64 entries a group table build may hold
-SEARCH_BUDGET = 1 << 20        # orbit unions design_search may enumerate
 
 # bench/spans.py looks up this former class to count calls of its
 # as_permutation; a group element is now a row of a group table.
@@ -229,9 +228,11 @@ def _lemma_check(name: str, check, capacity: int):
 # serve, else returns the check(code, cs) design_search applies to each
 # union.  The exhaustive mode looks enumerate_lambda up when called, so a
 # wrapper installed later (the traced benchmark installs one) sees the call.
-PD_MODES = {"exhaustive": _exhaustive_check,
-            "lemma13": _lemma_check("lemma13", lemma13_check, 2),
-            "lemma15": _lemma_check("lemma15", lemma15_check, 3)}
+# The names live in limits, where the CLI reads them without numpy.
+PD_MODES = dict(zip(PD_MODE_NAMES, (_exhaustive_check,
+                                    _lemma_check("lemma13", lemma13_check, 2),
+                                    _lemma_check("lemma15", lemma15_check, 3)),
+                    strict=True))
 
 
 # ---------- the decoding loop ----------

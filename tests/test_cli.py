@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ import yaml
 
 import abcode.cli
 import abcode.code
+import abcode.permdec
 from abcode.cli import (EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, dump_spec,
                         load_spec, main, parse_spec)
 
@@ -552,6 +554,47 @@ def test_pdset_past_the_group_table_budget_exits_2(tmp_path, capsys):
         "error: a group table of 3757637646 entries exceeds the budget of 33554432"]
 
 
+# l = 1 050 625, the first odd square past 2^20; r = 2^32 - 1, one axis; and
+# the same limit reached through a crt block
+PAST_THE_LENGTH_LIMIT = {
+    1025 * 1025: "q: 2\nr: [1025, 1025]\n",
+    2**32 - 1: "q: 2\nr: [4294967295]\ndefining_set:\n  orbits: [1]\n",
+    1025 * 1027: "q: 2\ncrt:\n  factors: [1025, 1027]\ndefining_set:\n  orbits: [1]\n",
+}
+
+
+@pytest.mark.parametrize("sub", ["orbits", "infoset", "verify"])
+def test_ambient_past_the_length_limit_exits_2_unenumerated(tmp_path, capsys, sub):
+    for length, text in PAST_THE_LENGTH_LIMIT.items():
+        path = write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            rc = main([sub, path])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert rc == EXIT_BAD_INPUT
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: length {length} exceeds the limit of 1048576 positions"]
+        assert peak < 2 << 20, peak
+
+
+# the specs above, the benchmark's and the pinned ones
+EXISTING_SPECS = {name: text for name, text in globals().items()
+                  if name.startswith("SPEC_")}
+EXISTING_SPECS.update((p.name, p.read_text()) for p in sorted(
+    [*(ROOT / "bench" / "specs").glob("*.yaml"), *PINNED.glob("*.yaml")]))
+
+
+@pytest.mark.parametrize("name", sorted(EXISTING_SPECS))
+def test_every_spec_is_within_the_length_limit(tmp_path, capsys, name):
+    path = write(tmp_path, EXISTING_SPECS[name])
+    for sub in ("orbits", "infoset"):
+        assert run_cli(capsys, sub, path)[0] == EXIT_OK
+
+
 # ---------- exit codes ----------
 
 
@@ -660,7 +703,7 @@ def test_pdset_refuses_an_over_budget_request_before_the_group_table(
     def no_table(amb):
         raise AssertionError("group table built")
 
-    monkeypatch.setattr(abcode.cli, "enumerate_lambda", no_table)
+    monkeypatch.setattr(abcode.permdec, "enumerate_lambda", no_table)
     path = write(tmp_path, "q: 2\nr: [2047]\ndefining_set:\n  orbits: [0]\n")
     assert main(["pdset", path, "--errors", "2"]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
@@ -692,11 +735,15 @@ def test_one_defining_set_kind_closes_crt_residues():
 
 def test_budget_defaults_are_the_library_defaults():
     from abcode.cli import _build_parser
-    from abcode.permdec import PD_SUBSET_BUDGET, SEARCH_BUDGET, SearchConstraints
+    from abcode.permdec import (PD_MODES, PD_SUBSET_BUDGET, SEARCH_BUDGET,
+                                SearchConstraints)
     parser = _build_parser()
     assert parser.parse_args(["pdset", "x", "--errors", "1"]).budget == PD_SUBSET_BUDGET
     assert parser.parse_args(["search", "x"]).budget == SEARCH_BUDGET
     assert SearchConstraints().budget == SEARCH_BUDGET
+    for mode in PD_MODES:
+        assert parser.parse_args(["search", "x", "--pd-mode", mode]).pd_mode == mode
+    assert parser.parse_args(["search", "x"]).pd_mode == SearchConstraints().pd_mode
 
 
 def run_python(*args):
@@ -800,12 +847,12 @@ def test_field_past_64_bits_exits_2(tmp_path, sub):
     assert proc.stdout == ""
 
 
-NO_SYMPY_RUNNER = """
+BLOCKED_IMPORT_RUNNER = """
 import contextlib, io, json, sys
-sys.modules["sympy"] = None   # any import of sympy now raises ImportError
+sys.modules[sys.argv[1]] = None   # any import of it now raises ImportError
 from abcode.cli import main
 runs = []
-for argv in json.loads(sys.argv[1]):
+for argv in json.loads(sys.argv[2]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main(argv)
@@ -821,12 +868,31 @@ def test_runtime_runs_without_sympy(tmp_path, capsys):
     argvs = [["infoset", path_37], ["verify", path_37], ["infoset", path_crt]]
     want = [list(run_cli(capsys, *argv)) for argv in argvs]
     assert [code for code, _ in want] == [EXIT_OK] * 3
-    proc = run_python("-c", NO_SYMPY_RUNNER, json.dumps(argvs))
+    proc = run_python("-c", BLOCKED_IMPORT_RUNNER, "sympy", json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == want
 
     proc = run_python("-c", "import sys, abcode.cli; print('sympy' in sys.modules)")
     assert proc.stdout == "False\n", proc.stderr
+
+
+def test_combinatorial_subcommands_run_without_numpy(tmp_path, capsys):
+    path_37 = write(tmp_path, SPEC_37, "c37.yaml")
+    path_crt = write(tmp_path, SPEC_CRT, "crt.yaml")
+    argvs = [["orbits", path_37], ["orbits", path_crt, "--machine-output"],
+             ["infoset", path_37], ["infoset", path_37, "--machine-output"],
+             ["infoset", path_37, "--order", "2,1"],
+             ["infoset", path_37, "--random-reps", "--seed", "3"],
+             ["infoset", path_crt], ["infoset", path_crt, "--machine-output"]]
+    want = [list(run_cli(capsys, *argv)) for argv in argvs]
+    assert [code for code, _ in want] == [EXIT_OK] * len(argvs)
+    proc = run_python("-c", BLOCKED_IMPORT_RUNNER, "numpy", json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
+
+    proc = run_python("-c", "import sys, abcode; print('numpy' in sys.modules); "
+                            "import abcode.cli; print('numpy' in sys.modules)")
+    assert proc.stdout == "False\nFalse\n", proc.stderr
 
 
 def test_python_dash_m_matches_cli_module(tmp_path):

@@ -493,6 +493,21 @@ def test_prime_field_add_where_label_sums_leave_one_byte(p):
     assert sf.add(a, p - 1).tolist() == ((a.astype(np.int64) + p - 1) % p).tolist()
 
 
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2),
+                                 (5, 2), (251, 1), (257, 1)])
+def test_neg_is_mul_by_minus_one_in_the_label_dtype(p, s):
+    # q = 2, 3, 4, 5, 8, 9, 25, and the largest uint8 and smallest uint16 primes
+    sf = ScalarField(build_context(p, s, 1))
+    rng = np.random.default_rng(sf.q)
+    labels = np.arange(sf.q, dtype=sf.dtype)
+    block = rng.integers(0, sf.q, (7, 11)).astype(sf.dtype)
+    for a in (labels, block, block.T, labels[::-1]):
+        got = sf.neg(a)
+        assert got.dtype == sf.dtype
+        assert got.tolist() == sf.mul(a, p - 1).tolist()
+        assert not np.shares_memory(got, a)
+
+
 def test_scalar_zero_has_no_inverse():
     sf = ScalarField(build_context(2, 2, 2))
     with pytest.raises(FieldError):

@@ -14,6 +14,7 @@ import pytest
 import sympy
 
 from abcode.gf import FieldError
+from abcode.limits import MAX_LENGTH
 from abcode.orbit import (Ambient, NotOrbitClosed, as_int, coset,
                           from_orbit_reps, normalize_ordering, orbits, permute,
                           qorbit, restricted_reps, unpermute,
@@ -70,6 +71,16 @@ def test_ambient_owns_the_validity_of_q():
         amb = Ambient(q, (1,))
         assert (amb.p, amb.s) == (p, s)
     assert repr(Ambient(4, (3, 5))) == "Ambient(q=4, r=(3, 5))"
+
+
+def test_ambient_length_is_capped_before_any_position_exists():
+    assert Ambient(2, (1023, 1025)).length == MAX_LENGTH - 1
+    assert Ambient(3, (MAX_LENGTH,)).length == MAX_LENGTH
+    for q, r in [(3, (MAX_LENGTH + 1,)), (2, (1025, 1025)), (2, ((1 << 32) - 1,)),
+                 (2, (3, 5, 7, 11, 13, 17, 19, 23))]:
+        with pytest.raises(ValueError, match=f"length {math.prod(r)} exceeds "
+                                             f"the limit of {MAX_LENGTH} positions"):
+            Ambient(q, r)
 
 
 def test_ambient_refuses_products_of_two_32_bit_primes():
