@@ -641,11 +641,11 @@ def standard_form_parity(code: AbelianCode, cs: CheckSet):
     """Parity matrix with an identity block on the (sorted) check positions.
 
     Returns (MatrixGF, check column indices).  One reduction both verifies
-    cs and builds the form: the check block is invertible exactly when every
-    check column pivots.  It reduces R, the code's reduction of H
-    (_reduced_parity), which has H's row space, so the form with the
-    identity on cs, which that row space alone fixes, is the one a
-    reduction of H would give.  Raises ValueError when cs fails, naming the
+    cs and builds the form.  It starts from R, the code's reduction of H
+    (_reduced_parity), with the check columns moved first, and the check
+    block is invertible exactly when the reduction's pivots are its first
+    |D| columns.  Moved back, the result is inv(R[:, cs]) R, which the row
+    space of H alone fixes.  Raises ValueError when cs fails, naming the
     failure as verify_check_positions does.
     """
     if cs.ambient != code.ambient:
@@ -653,10 +653,13 @@ def standard_form_parity(code: AbelianCode, cs: CheckSet):
     if len(cs.positions) != len(code.defining):
         raise ValueError("check positions not verified: cardinality")
     cols = sorted(code.ambient.index_of(t) for t in cs.positions)
-    R, pivots = _reduced_parity(code)[0].rref(col_order=cols)
-    if pivots != cols:
+    R = _reduced_parity(code)[0]
+    order = cols + sorted(set(range(code.length)).difference(cols))
+    S, pivots = MatrixGF(code.scalars, R.data[:, order]).rref()
+    if pivots != list(range(len(cols))):
         raise ValueError("check positions not verified: rank")
-    return R, cols
+    S.data[:, order] = S.data.copy()
+    return S, cols
 
 
 def encode(code: AbelianCode, cs: CheckSet, info_values) -> np.ndarray:

@@ -35,9 +35,9 @@ class CrtMap:
                         f"factors {factors[i]} and {factors[j]} are not coprime")
         if units is None:
             units = (1,) * len(factors)
-        units = tuple(as_int(u, "unit") % r for u, r in zip(units, factors))
         if len(units) != len(factors):
             raise ValueError("one unit per factor required")
+        units = tuple(as_int(u, "unit") % r for u, r in zip(units, factors))
         for u, r in zip(units, factors):
             if math.gcd(u, r) != 1:
                 raise ValueError(f"unit {u} is not invertible mod {r}")

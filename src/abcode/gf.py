@@ -213,12 +213,7 @@ class FieldContext:
         """Digits of the encoding sum(c_i * p^i); the canonical element order."""
         return tuple(enc // self.p**i % self.p for i in range(self.deg))
 
-    # -- products of digit tuples (construction time) --
-
-    def mul(self, a, b):
-        """The product of two digit tuples, multiplied as packed ints."""
-        ar = self._arith
-        return ar.unpack(ar.mul(ar.pack(a), ar.pack(b)))
+    # -- powers of digit tuples (construction time) --
 
     def pow(self, a, e: int):
         """a^e for e >= 0, by squaring."""
@@ -248,25 +243,29 @@ class FieldContext:
     def _solver(self, d: int):
         """Cached F_p-linear solver for coordinates of F_{q^d} over F_q.
 
-        Column t*s + u of B holds the digits of g_d^t * eta^u, where g_d is
-        the root of unity of order q^d - 1, which generates F_{q^d}^*.  Row
-        reducing [B | I] over F_p leaves a left inverse of B in the first d*s
-        rows and, below them, the checks that vanish exactly on the span of B.
+        Row t*s + u of B holds the digits of g_d^t * eta^u, where g_d is
+        the root of unity of order q^d - 1, which generates F_{q^d}^*, so B
+        has full row rank d*s.  Reducing [B | I] over F_p gives E B = R,
+        the reduced form of B, whose d*s pivots J all fall in B's columns;
+        R[:, J] = I, so E inverts B[:, J].  An element of F_{q^d} with
+        digit row a and coordinate row c has a = c B, so c = a[J] E.
+        Returns (extract, B), with extract[:, J] = E^T and 0 elsewhere.
         """
         if d not in self._solvers:
             prime = ScalarField(build_context(self.p, 1, 1))
-            ncols = d * self.s
+            nrows = d * self.s
             eta = self.mul_matrix(self.eta())
             blocks = [self.powers(root_of_unity(self, self.q**d - 1), d)]
             for _ in range(self.s - 1):
                 blocks.append(blocks[-1] @ eta % self.p)
-            B = np.stack(blocks, axis=1).reshape(ncols, self.deg).T
-            aug = MatrixGF(prime, np.hstack([B, np.eye(self.deg, dtype=B.dtype)]))
-            red, pivots = aug.rref(col_order=range(ncols))
-            if len(pivots) < ncols:
+            B = np.stack(blocks, axis=1).reshape(nrows, self.deg)
+            aug = MatrixGF(prime, np.hstack([B, np.eye(nrows, dtype=B.dtype)]))
+            red, pivots = aug.rref()
+            if pivots[-1] >= self.deg:
                 raise FieldError("subfield basis degenerate (unreachable)")
-            sol = red.data[:, ncols:].astype(np.int64)
-            self._solvers[d] = (sol[:ncols], sol[ncols:])
+            extract = np.zeros((nrows, self.deg), dtype=np.int64)
+            extract[:, pivots] = red.data[:, self.deg:].T
+            self._solvers[d] = (extract, B)
         return self._solvers[d]
 
     def root_coords(self, L: int, d: int):
@@ -357,17 +356,18 @@ def subfield_coords(ctx: FieldContext, a, d: int):
 
     a is an (m, deg) integer array whose rows are the digit tuples of the
     elements; the result is an (m, d) int64 label array, and FieldError is
-    raised if any row lies outside F_{q^d}.  A label encodes the element
+    raised if any row differs from its rebuild from those coordinates,
+    which is when it lies outside F_{q^d}.  A label encodes the element
     sum(c_j * eta^j) of F_q as the integer sum(c_j * p^j), so labels 0 and
     1 are the field's 0 and 1, and for s = 1 the label is the residue.
     """
     if ctx.M % d != 0:
         raise FieldError(f"d = {d} does not divide M = {ctx.M}")
-    extract, consistency = ctx._solver(d)
+    extract, basis = ctx._solver(d)
     rows = np.asarray(a, dtype=np.int64)
-    if consistency.size and np.any((rows @ consistency.T) % ctx.p):
-        raise FieldError(f"element is not in F_{{q^{d}}}")
     coords = (rows @ extract.T) % ctx.p
+    if d < ctx.M and np.any((coords @ basis - rows) % ctx.p):
+        raise FieldError(f"element is not in F_{{q^{d}}}")
     p, s = ctx.p, ctx.s
     return coords.reshape(len(rows), d, s) @ p ** np.arange(s, dtype=np.int64)
 
@@ -411,7 +411,7 @@ class ScalarField:
         return self.mul(a, self.p - 1)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.add(a, self.neg(np.asarray(b, dtype=a.dtype)))
 
     def mul(self, a, b):
         if self.s > 1:
@@ -484,26 +484,25 @@ class MatrixGF:
     def shape(self):
         return self.data.shape
 
-    def rref(self, col_order=None):
-        """Reduced row echelon form; returns (MatrixGF, pivot column list).
+    def rref(self):
+        """The reduced row echelon form and its pivot columns, (MatrixGF, list).
 
-        col_order restricts and orders the pivot search; columns not listed
-        are never used as pivots.  Over F_2 the rows are reduced bit-packed.
+        Every column is reduced, left to right.  The form is unique: row i
+        holds pivot i and every row past the rank is zero, whatever rows
+        the reduction swapped.  Over F_2 the rows are reduced bit-packed.
         Otherwise a pivot is one whole-matrix update: each row adds the
         pivot row times the negation of its pivot-column entry, read from
         a table of the pivot row's multiples by the negated labels.
         """
         f = self.field
         m, n = self.data.shape
-        if col_order is None:
-            col_order = range(n)
         if f.q == 2:
-            rows, pivots = _rref_ints(self.row_ints(), col_order)
+            rows, pivots = _rref_ints(self.row_ints(), n)
             return MatrixGF(f, _unpack_rows(rows, n)), pivots
         A = self.data.copy()
         neg_labels = f.neg(np.arange(f.q, dtype=A.dtype))
         pivots = []
-        for col in col_order:
+        for col in range(n):
             row = len(pivots)
             if row == m:
                 break
@@ -547,11 +546,11 @@ class MatrixGF:
 
 
 def kernel_basis(R: MatrixGF, pivots) -> MatrixGF:
-    """Basis of the right kernel of a matrix, read off its reduction.
+    """Basis of the right kernel of a matrix, read off its reduced form.
 
-    (R, pivots) is what rref() returns with no col_order.  Free column c
-    (a column that is no pivot) gives the basis row with 1 at c and, at
-    pivot column pivots[i], minus R[i, c]; rows follow the free columns.
+    (R, pivots) is what rref() returns.  Free column c (a column that is
+    no pivot) gives the basis row with 1 at c and, at pivot column
+    pivots[i], minus R[i, c]; rows follow the free columns.
     """
     n = R.shape[1]
     free = sorted(set(range(n)).difference(pivots))
@@ -561,16 +560,11 @@ def kernel_basis(R: MatrixGF, pivots) -> MatrixGF:
     return MatrixGF(R.field, basis)
 
 
-def _rref_ints(rows, col_order):
-    """RREF of bit-packed rows; returns (all rows, pivot cols).
-
-    Rows are swapped and reduced exactly as the label kernel of
-    MatrixGF.rref does, so row i holds pivot i and rows past the last pivot
-    keep the same order.
-    """
+def _rref_ints(rows, ncols):
+    """MatrixGF.rref on bit-packed rows of ncols columns; returns (rows, pivots)."""
     rows = list(rows)
     pivots = []
-    for col in col_order:
+    for col in range(ncols):
         row = len(pivots)
         if row == len(rows):
             break

@@ -1,9 +1,9 @@
 """Scalar arithmetic for the test oracles, apart from the label-array
 kernels they check: one label at a time, summed and negated digit by
 digit mod p, and multiplied as residues mod p when s = 1 and through
-logs to the base eta, found with FieldContext.mul, otherwise; and digit
-tuples of the context, added digitwise mod p and multiplied with
-FieldContext.mul."""
+logs to the base eta otherwise; and digit tuples of the context, added
+digitwise mod p and multiplied as schoolbook polynomials reduced by the
+context's modulus (elem_mul), apart from the packed products of gf."""
 
 import functools
 
@@ -48,8 +48,29 @@ def _eta_powers(ctx):
     x, exp = ctx.one, []
     for _ in range(ctx.q - 1):
         exp.append(label[x])
-        x = ctx.mul(x, ctx.eta())
+        x = elem_mul(ctx, x, ctx.eta())
     return exp, {a: k for k, a in enumerate(exp)}
+
+
+def poly_mul_mod(a, b, mod, p):
+    """Schoolbook product of two digit lists, reduced by a monic modulus."""
+    deg = len(mod) - 1
+    out = [0] * (2 * deg)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    for i in range(2 * deg - 1, deg - 1, -1):
+        c = out[i]
+        if c:
+            out[i] = 0
+            for j in range(deg):
+                out[i - deg + j] = (out[i - deg + j] - c * mod[j]) % p
+    return out[:deg]
+
+
+def elem_mul(ctx, a, b):
+    """The product of two digit tuples of the context, as a digit tuple."""
+    return tuple(poly_mul_mod(a, b, ctx.modulus, ctx.p))
 
 
 def elem_add(ctx, a, b):
@@ -65,5 +86,5 @@ def element(ctx, label):
     acc = ctx.decode(0)
     for j in range(ctx.s):
         c = ctx.decode(label // ctx.p**j % ctx.p)
-        acc = elem_add(ctx, acc, ctx.mul(c, ctx.pow(ctx.eta(), j)))
+        acc = elem_add(ctx, acc, elem_mul(ctx, c, ctx.pow(ctx.eta(), j)))
     return acc

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from sympy import n_order
 
-from abcode.code import (AbelianCode, find_low_weight_codeword,
+from abcode.code import (AbelianCode, check_tensor, find_low_weight_codeword,
                          generator_matrix, min_distance, standard_form_parity,
                          verify_check_positions)
 from abcode.crt import CrtMap
@@ -422,7 +422,8 @@ SUITE_KERNEL_DIGEST = (
 
 def test_suite_kernel_outputs_are_pinned():
     # generator rows, verification ranks and standard-form parity rows of
-    # criterion 06's codes: nullspace, plain rref and col_order rref
+    # criterion 06's codes: the kernel basis, the rank of a block and the
+    # reduction with the check columns first
     h = hashlib.sha256()
     for row in random_code_suite():
         G = generator_matrix(row.code)
@@ -431,6 +432,22 @@ def test_suite_kernel_outputs_are_pinned():
         h.update(G.data.tobytes())
         h.update(S.data.tobytes())
     assert h.hexdigest() == SUITE_KERNEL_DIGEST
+
+
+# recorded before the subfield solver moved to the transposed basis; the
+# generator and the standard form depend only on the row space of H, so
+# SUITE_KERNEL_DIGEST would not see a change of subfield basis
+SUITE_TENSOR_DIGEST = (
+    "1e371553f78004de6aee73f06913be302a1f238919cfd4480d1176bb6757f436")
+
+
+def test_suite_check_tensors_are_pinned():
+    h = hashlib.sha256()
+    for row in random_code_suite():
+        T = check_tensor(row.code)
+        h.update(repr((T.shape, T.dtype.str)).encode())
+        h.update(T.tobytes())
+    assert h.hexdigest() == SUITE_TENSOR_DIGEST
 
 
 def test_criterion_08_length_45_two_error_codes():

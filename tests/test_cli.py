@@ -654,7 +654,9 @@ def test_bad_input_exits_2(tmp_path, capsys):
             ("q: 2\nr: [3, 7]\nordering: [2.2, 1]\n",
              "error: ordering must be a list of integers, not [2.2, 1]\n"),
             ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, false]\n",
-             "error: crt units must be a list of integers, not [1, False]\n")]:
+             "error: crt units must be a list of integers, not [1, False]\n"),
+            ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, 2, 4]\n",
+             "error: one unit per factor required\n")]:
         assert main(["orbits", write(tmp_path, text)]) == EXIT_BAD_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -29,7 +29,7 @@ from abcode.gf import (FieldError, ScalarField, build_context, kernel_basis,
 from abcode.orbit import (Ambient, DefiningSet, frobenius_order,
                           from_orbit_reps, orbits, qorbit,
                           validate_defining_set)
-from field_fixtures import Labels, elem_add, element
+from field_fixtures import Labels, elem_add, elem_mul, element
 
 # sample codes reused below
 HAMMING = from_orbit_reps(Ambient(2, (7,)), [(1,)])          # [7, 4, 3]
@@ -61,6 +61,9 @@ NAMED = {"HAMMING": HAMMING, "GOLAY3": GOLAY3, "QUARTIC": QUARTIC,
 
 
 def naive_rref(sf: ScalarField, data, col_order):
+    """(rows, pivots) of the reduced form ordered by col_order: columns are
+    searched for a pivot in that order, and no column outside it pivots.
+    With range(n) this is the reduced row echelon form."""
     ops = Labels(sf)
     rows = [[int(v) for v in row] for row in data]
     nrows = len(rows)
@@ -117,7 +120,7 @@ def naive_check_tensor(code, basis_shift=0):
         for j, pos in enumerate(amb.positions()):
             x = shift
             for g, t in zip(gens, pos):
-                x = ctx.mul(x, ctx.pow(g, t))
+                x = elem_mul(ctx, x, ctx.pow(g, t))
             mat[row:row + d, j] = subfield_coords(ctx, [x], d)[0]
         row += d
     return mat
@@ -132,7 +135,7 @@ def naive_evaluate_at_root(code, vec, exponent):
         if vec[j]:
             x = element(ctx, int(vec[j]))
             for root, e, t, r in zip(roots, exponent, pos, amb.r):
-                x = ctx.mul(x, ctx.pow(root, e * t % r))
+                x = elem_mul(ctx, x, ctx.pow(root, e * t % r))
             acc = elem_add(ctx, acc, x)
     return acc
 
@@ -165,18 +168,9 @@ def shapes(rng, mmax, nmax):
     yield from WIDE_SHAPES
 
 
-# more rows than columns, so rows past the last pivot remain; 20 and 40
-# rows reach past q = 16
+# more rows than columns, so rows past the rank remain; 20 and 40 rows
+# reach past q = 16
 TALL_SHAPES = ((9, 4), (20, 6), (40, 9))
-
-
-def col_orders(rng, n):
-    """A full order (identity or shuffled), a strict subset in random
-    order, and no column at all."""
-    full = list(range(n))
-    if rng.random() < 0.5:
-        rng.shuffle(full)
-    return full, rng.sample(range(n), rng.randrange(n)), []
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES + (16, 256))
@@ -192,17 +186,18 @@ def test_rref_matches_naive(q):
             data[np.array([[rng.random() < 0.6 for _ in range(n)]
                            for _ in range(m)])] = 0
         M = MatrixGF(sf, data.copy())
-        for cols in col_orders(rng, n):
-            R, pivots = M.rref(col_order=cols)
-            want_rows, want_pivots = naive_rref(sf, data, cols)
-            assert list(pivots) == want_pivots
-            # every row in order: rows past the last pivot are read too
-            assert R.data.tolist() == want_rows
-            # reduction is idempotent
-            R2, p2 = R.rref(col_order=cols)
-            assert np.array_equal(R2.data, R.data)
-            assert list(p2) == want_pivots
-        assert M.rank() == len(naive_rref(sf, data, range(n))[1])
+        R, pivots = M.rref()
+        want_rows, want_pivots = naive_rref(sf, data, range(n))
+        assert pivots == want_pivots
+        # every row in order: the form is unique, so rows past the rank
+        # are zero whatever the reduction swapped
+        assert R.data.tolist() == want_rows
+        assert not R.data[len(pivots):].any()
+        # reduction is idempotent
+        R2, p2 = R.rref()
+        assert np.array_equal(R2.data, R.data)
+        assert p2 == want_pivots
+        assert M.rank() == len(want_pivots)
 
 
 @pytest.mark.parametrize("q", FIELD_SIZES)
@@ -241,10 +236,7 @@ def test_row_ints_binary_roundtrip():
         M = MatrixGF(sf, data)
         for row, packed in zip(data, M.row_ints()):
             assert [((packed >> i) & 1) for i in range(n)] == list(map(int, row))
-        # with no pivot column allowed, rref packs and unpacks rows unchanged
-        R, pivots = M.rref(col_order=[])
-        assert pivots == []
-        assert np.array_equal(R.data, data)
+        assert np.array_equal(abcode.gf._unpack_rows(M.row_ints(), n), data)
 
 
 def test_pack_words_against_bit_sums():
@@ -565,9 +557,9 @@ def test_parity_matrix_is_reduced_in_full_once_per_code(monkeypatch):
     reduced = []
     rref = MatrixGF.rref
 
-    def counting(self, col_order=None):
+    def counting(self):
         reduced.append((self, self.shape))
-        return rref(self, col_order)
+        return rref(self)
 
     rng = random.Random(45)
     for code in verify_codes(10):
@@ -588,13 +580,16 @@ def test_parity_matrix_is_reduced_in_full_once_per_code(monkeypatch):
         monkeypatch.undo()
         # H once in full, then per set only the block of rows whose pivot
         # is not in the set, on the set's columns that are no pivot, and
-        # the standard form from the reduction R, not from H
+        # the standard form from the reduction R, not from H, with the
+        # check columns moved first
         R, _ = abcode.code._reduced_parity(code)
         assert [shape for _, shape in reduced] == [H.shape] + [
             (sum(p not in cols for p in pivots), sum(c not in pivots for c in cols))
             for cols in sets] + [H.shape]
-        assert reduced[0][0] is H and reduced[-1][0] is R
-        assert S.data.tobytes() == H.rref(col_order=std_cols)[0].data.tobytes()
+        order = std_cols + [c for c in range(code.length) if c not in std_cols]
+        assert reduced[0][0] is H
+        assert np.array_equal(reduced[-1][0].data, R.data[:, order])
+        assert S.data.tolist() == naive_rref(code.scalars, H.data, std_cols)[0]
         alone = generator_matrix(AbelianCode(code.defining))
         assert G.data.tobytes() == alone.data.tobytes()
 

@@ -44,8 +44,9 @@ def test_map_validation():
         CrtMap((6, 10))  # not coprime
     with pytest.raises(ValueError):
         CrtMap((3, 5), units=(0, 1))  # 0 not a unit
-    with pytest.raises(ValueError):
-        CrtMap((3, 5), units=(1,))  # wrong arity
+    for units in [(1,), (1, 2, 4)]:  # wrong arity
+        with pytest.raises(ValueError, match="one unit per factor required"):
+            CrtMap((3, 5), units=units)
     with pytest.raises(ValueError):
         CrtMap(())
     m = CrtMap((3, 5), units=(5, 11))  # units normalized mod factors
