@@ -366,6 +366,7 @@ def subfield_coords(ctx: FieldContext, a, d: int):
     extract, basis = ctx._solver(d)
     rows = np.asarray(a, dtype=np.int64)
     coords = (rows @ extract.T) % ctx.p
+    # for d = M, B is square and invertible: every row is its own rebuild
     if d < ctx.M and np.any((coords @ basis - rows) % ctx.p):
         raise FieldError(f"element is not in F_{{q^{d}}}")
     p, s = ctx.p, ctx.s
