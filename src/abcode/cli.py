@@ -92,6 +92,15 @@ def _parse_index(entry, n: int):
     return tup
 
 
+def _refused_as_spec_error(make, *args):
+    """make(*args), with a ValueError it raises (an Ambient or CrtMap
+    refusal) raised again as a SpecError with the same message."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SpecError(str(exc)) from exc
+
+
 def parse_spec(text: str) -> CodeSpec:
     try:
         data = yaml.safe_load(text)
@@ -121,19 +130,21 @@ def parse_spec(text: str) -> CodeSpec:
         if not isinstance(block, dict) or "factors" not in block:
             raise SpecError("crt block needs a factors list")
         units = block.get("units")
-        cmap = CrtMap(_int_list(block["factors"], "crt factors"),
-                      None if units is None else _int_list(units, "crt units"))
+        cmap = _refused_as_spec_error(
+            CrtMap, _int_list(block["factors"], "crt factors"),
+            None if units is None else _int_list(units, "crt units"))
         l = cmap.length
         if "l" in data and data["l"] != l:
             raise SpecError(f"l = {data['l']!r} but the factors multiply to {l}")
-        Ambient(q, cmap.factors)   # gcd(r_i, q) = 1 before residues are closed
+        # gcd(r_i, q) = 1 before residues are closed
+        _refused_as_spec_error(Ambient, q, cmap.factors)
         members = set()
         for a in _int_list(entries, "defining_set residues"):
             members.update(coset(a, l, q) if kind == "orbits" else (a % l,))
         defining = cmap.transport_defining_set(q, members)
         cyclic = tuple(sorted(members))
     elif "r" in data:
-        amb = Ambient(q, _int_list(data["r"], "r"))
+        amb = _refused_as_spec_error(Ambient, q, _int_list(data["r"], "r"))
         indices = [_parse_index(e, amb.n) for e in entries]
         defining = (from_orbit_reps(amb, indices) if kind == "orbits"
                     else validate_defining_set(amb, indices))
@@ -463,8 +474,9 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         return args.func(spec, args)
-    except (ValueError, OSError) as exc:   # SpecError, NotOrbitClosed, FieldError too
-        print(f"error: {exc}", file=sys.stderr)
+    # SpecError, NotOrbitClosed and FieldError are ValueErrors
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
 

@@ -12,7 +12,10 @@ MAX_FIELD_BITS = 64   # no field of more than 2^64 elements is built
 # l = 1 048 575, takes 2.6 s and 243 MB of peak RSS on a 2-vCPU Xeon
 MAX_LENGTH = 1 << 20
 
-PD_SUBSET_BUDGET = 2_000_000   # s-subsets is_pd_set may walk
+# s-subsets an is_pd_set walk could reach: C(l, s) is counted against it,
+# although the walk may stop early (at a witness, or past the subsets that
+# hold position 0 on a table closed under translations)
+PD_SUBSET_BUDGET = 2_000_000
 SEARCH_BUDGET = 1 << 20        # orbit unions design_search may enumerate
 PD_MODE_NAMES = ("exhaustive", "lemma13", "lemma15")   # permdec.PD_MODES' keys
 

@@ -90,6 +90,24 @@ def _group_table(amb: Ambient, elements) -> np.ndarray:
     return elements
 
 
+def _closed_under_translations(amb: Ambient, elements: np.ndarray) -> bool:
+    """Whether the rows come in blocks of l, each its head row composed
+    with the translations: elements[b*l + v] == elements[b*l][T[v]].
+
+    enumerate_lambda and translation_subgroup build their tables so.  One
+    block is compared at a time, so no copy of the whole table is made.
+    """
+    l = amb.length
+    if len(elements) % l:
+        return False
+    try:
+        T = translation_subgroup(amb)
+    except ValueError:   # past GROUP_TABLE_BUDGET: the walk goes on
+        return False
+    return all(np.array_equal(elements[b:b + l], elements[b][T])
+               for b in range(0, len(elements), l))
+
+
 def _info_mask(amb: Ambient, info_set) -> np.ndarray:
     mask = np.zeros(amb.length, dtype=bool)
     mask[[amb.index_of(tuple(t)) for t in info_set]] = True
@@ -153,17 +171,30 @@ def is_pd_set(amb: Ambient, elements, info_set, s: int,
     meets, padded with the least positions it lacks: an unserved prefix
     shorter than s comes first only when it is 0, ..., d - 1, since
     inserting a missing smaller position gives an earlier one.
+
+    The subsets that hold position 0 come first.  Once a block reaches past
+    them, and if more blocks follow, the table is checked once for
+    closure under the translations T_v (_closed_under_translations).  A
+    closed table serves S exactly when it serves every S + v, so the first
+    unserved subset E holds 0: else E - min(E) would be unserved and
+    earlier.  Then every subset is served, and the walk stops there.
     """
     l = amb.length
     check_pd_errors(l, s, budget)
     elements = _group_table(amb, elements)
     # bit g of masks[x]: row g moves position x outside the information set
     masks = _pack_words(~_info_mask(amb, info_set)[elements.T])
+    asked = False   # whether the closure check has run
     for subsets, acc in combination_blocks(masks, 1, s, np.bitwise_and):
         unserved = (acc == 0).all(axis=1)
         if unserved.any():
             first = subsets[int(np.argmax(unserved))]
             return PDResult(False, tuple(amb.tuple_of(int(x)) for x in first))
+        # past the subsets that hold 0, and short of the last, (l - s, ..., l - 1)
+        if not asked and 0 < subsets[-1, 0] < l - s:
+            asked = True
+            if _closed_under_translations(amb, elements):
+                return PDResult(True)
     return PDResult(True)
 
 

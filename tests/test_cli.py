@@ -17,6 +17,8 @@ import abcode.code
 import abcode.permdec
 from abcode.cli import (EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, dump_spec,
                         load_spec, main, parse_spec)
+from abcode.crt import CrtMap
+from abcode.orbit import Ambient
 
 SPEC_37 = """\
 q: 2
@@ -126,14 +128,66 @@ def test_parse_spec_rejects_bad_documents():
     for text in [
         "r: [3]\n",                                   # missing q
         "q: 2\n",                                     # missing r and crt
-        "q: 2\nr: [3, 7]\nordering: [1, 1]\n",        # bad ordering
         "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: [\"1\"]\n",  # arity
         "q: 2\nl: 16\ncrt:\n  factors: [3, 5]\n",     # l mismatch
         "- not\n- a\n- mapping\n",
+        "q: 3\nr: [3, 5]\n",                           # gcd(r_i, q) = 3
+        "q: 2\ncrt:\n  factors: [3, 9]\n",            # factors not coprime
+    ]:
+        with pytest.raises(SpecError):
+            parse_spec(text)
+    for text in [
+        "q: 2\nr: [3, 7]\nordering: [1, 1]\n",        # bad ordering
         "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: [\"9,1\"]\n",  # range
     ]:
-        with pytest.raises((SpecError, ValueError)):
+        with pytest.raises(ValueError):
             parse_spec(text)
+
+
+@pytest.mark.parametrize("text,refuse", [
+    ("q: 3\nr: [3, 5]\n", lambda: Ambient(3, (3, 5))),
+    ("q: 3\ncrt:\n  factors: [3, 5]\n", lambda: Ambient(3, (3, 5))),
+    ("q: 2\nr: [0, 7]\n", lambda: Ambient(2, (0, 7))),
+    ("q: 6\nr: [7]\n", lambda: Ambient(6, (7,))),
+    ("q: 2\ncrt:\n  factors: [3, 9]\n", lambda: CrtMap([3, 9])),
+    ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, 2, 4]\n",
+     lambda: CrtMap([3, 5], [1, 2, 4])),
+    ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, 5]\n",
+     lambda: CrtMap([3, 5], [1, 5])),
+], ids=["gcd", "crt-gcd", "zero-modulus", "composite-q", "not-coprime",
+        "extra-unit", "no-inverse"])
+def test_library_refusals_are_spec_errors_with_their_message(tmp_path, capsys,
+                                                             text, refuse):
+    # Ambient's and CrtMap's refusals leave parse_spec as SpecErrors, and
+    # main prints them as it printed the plain ValueErrors before
+    from abcode.cli import SpecError
+    with pytest.raises(ValueError) as refused:
+        refuse()
+    with pytest.raises(SpecError) as raised:
+        parse_spec(text)
+    assert str(raised.value) == str(refused.value)
+    assert main(["orbits", write(tmp_path, text)]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refused.value}\n"
+
+
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 8.00 GiB for an array"),
+     "error: Unable to allocate 8.00 GiB for an array\n"),
+    (MemoryError(), "error: out of memory\n"),
+])
+def test_main_reports_memory_errors_with_exit_2(tmp_path, capsys, monkeypatch,
+                                                 exc, line):
+    def exhausted(spec, args):
+        raise exc
+
+    monkeypatch.setattr(abcode.cli, "cmd_pdset", exhausted)
+    path = write(tmp_path, SPEC_37)
+    assert main(["pdset", path, "--errors", "2"]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == line
 
 
 @pytest.mark.parametrize("text", [
@@ -143,6 +197,7 @@ def test_parse_spec_rejects_bad_documents():
     "q: 2\nl: [15]\ncrt:\n  factors: [3, 5]\n",          # l not an integer
     "q: 2\ncrt:\n  factors: 15\n",                       # factors not a list
     "q: 2\ncrt:\n  factors: [3, 5]\n  units: 3\n",       # units not a list
+    "q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, 2, 4]\n",  # one unit too many
     "q: 2\nr: [3, 7]\ndefining_set:\n  orbits: 5\n",     # orbits not a list
     "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: 3\n",   # explicit not a list
     "q: 2\nr: [3, 7]\ndefining_set:\n  orbits: [[0, [3]]]\n",  # nested index
@@ -654,9 +709,7 @@ def test_bad_input_exits_2(tmp_path, capsys):
             ("q: 2\nr: [3, 7]\nordering: [2.2, 1]\n",
              "error: ordering must be a list of integers, not [2.2, 1]\n"),
             ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, false]\n",
-             "error: crt units must be a list of integers, not [1, False]\n"),
-            ("q: 2\ncrt:\n  factors: [3, 5]\n  units: [1, 2, 4]\n",
-             "error: one unit per factor required\n")]:
+             "error: crt units must be a list of integers, not [1, False]\n")]:
         assert main(["orbits", write(tmp_path, text)]) == EXIT_BAD_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""

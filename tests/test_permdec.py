@@ -283,10 +283,14 @@ def pd_walk_direct(amb, elements, info_set, s):
     return False, tuple(amb.tuple_of(x) for x in found + pad), len(found)
 
 
+def block_sizes(table, s):
+    # one subset per block, a few, and the default
+    return 1, 3 * (8 * -(-len(table) // 64) + 8 * s), None
+
+
 def test_pd_walk_matches_the_recursive_walk(monkeypatch):
     # random tables (permutation rows, rows of the group tables, none) and
-    # information sets, s from 1 to l; the subsets walked one, a few or
-    # the default number per block
+    # information sets, s from 1 to l
     rng = random.Random(31)
     ambients = [Ambient(2, (1,)), Ambient(2, (7,)), Ambient(2, (3, 5)),
                 Ambient(3, (8,)), Ambient(4, (3, 5)), Ambient(2, (3, 1, 5))]
@@ -310,13 +314,110 @@ def test_pd_walk_matches_the_recursive_walk(monkeypatch):
         want = pd_walk_direct(amb, table, info, s)
         verdicts["pass" if want[0] else "leaf" if want[2] == s
                  else "padded" if want[2] else "root"] += 1
-        for block in (1, 3 * (8 * -(-len(table) // 64) + 8 * s), None):
+        for block in block_sizes(table, s):
             if block is not None:
                 monkeypatch.setattr(abcode.code, "_COMBO_BLOCK", block)
             res = is_pd_set(amb, table, info, s)
             monkeypatch.undo()
             assert (res.ok, res.witness) == want[:2], (amb, len(table), s, block)
     assert min(verdicts.values()) >= 20, verdicts
+
+
+def counted_closure_checks(monkeypatch):
+    """The verdicts of permdec._closed_under_translations, as they come."""
+    seen = []
+    check = abcode.permdec._closed_under_translations
+
+    def counted(amb, elements):
+        seen.append(check(amb, elements))
+        return seen[-1]
+
+    monkeypatch.setattr(abcode.permdec, "_closed_under_translations", counted)
+    return seen
+
+
+@pytest.mark.parametrize("amb", [Ambient(2, (7,)), Ambient(2, (3, 5)),
+                                 Ambient(2, (3, 1, 5)), Ambient(3, (8,)),
+                                 Ambient(9, (2, 5))], ids=str)
+def test_closed_tables_stop_after_position_zero(monkeypatch, amb):
+    # whole λ and translation tables are closed under translations, so the
+    # walk stops once the subsets that hold position 0 are served; the
+    # verdict and witness stay the full walk's
+    rng = random.Random(amb.q * 100 + amb.length)
+    checks = counted_closure_checks(monkeypatch)
+    verdicts = set()
+    for table in (enumerate_lambda(amb), translation_subgroup(amb)):
+        for _ in range(3):
+            info = build_gamma(DefiningSet(amb, frozenset(
+                m for o in orbits(amb) if rng.random() < 0.6 for m in o))).complement()
+            for s in range(1, min(amb.length, 4) + 1):
+                want = pd_walk_direct(amb, table, info, s)[:2]
+                verdicts.add(want[0])
+                # the lexicographically first unserved subset holds 0
+                assert want[0] or want[1][0] == amb.tuple_of(0)
+                for block in block_sizes(table, s):
+                    with monkeypatch.context() as m:
+                        if block is not None:
+                            m.setattr(abcode.code, "_COMBO_BLOCK", block)
+                        res = is_pd_set(amb, table, info, s)
+                    assert (res.ok, res.witness) == want, (len(table), s, block)
+    assert verdicts == {True, False}
+    assert checks and all(checks)
+
+
+@pytest.mark.parametrize("s,checks_at,altered", [
+    (1, [13], (6, 7)),                        # only row 6 serves {7}
+    (2, [1, 4, 9, 12, 13], (0, 1)),           # only row 0 serves {1, 4}
+])
+def test_a_table_off_by_one_entry_keeps_the_full_walk(monkeypatch, s, checks_at,
+                                                      altered):
+    # the translation table of (2;3,5) with one entry moved into the
+    # information set is still laid out in blocks of l, but it is not
+    # closed: it serves every subset that holds position 0, and the full
+    # walk's first unserved subset does not hold 0
+    amb = Ambient(2, (3, 5))
+    info = {amb.tuple_of(x) for x in range(amb.length) if x not in checks_at}
+    table = translation_subgroup(amb)
+    assert pd_walk_direct(amb, table, info, s)[0]
+    table[altered] = amb.index_of(min(info))
+    ok, witness, _ = pd_walk_direct(amb, table, info, s)
+    assert not ok and amb.index_of(witness[0]) > 0
+    checks = counted_closure_checks(monkeypatch)
+    for block in block_sizes(table, s):
+        with monkeypatch.context() as m:
+            if block is not None:
+                m.setattr(abcode.code, "_COMBO_BLOCK", block)
+            res = is_pd_set(amb, table, info, s)
+        assert (res.ok, res.witness) == (False, witness), block
+    assert checks == [False, False]
+
+
+def test_closure_check_past_the_group_table_budget_keeps_the_full_walk(monkeypatch):
+    # a table made elsewhere may be one that translation_subgroup would
+    # refuse to build for the closure check (its n * l * l coordinate
+    # sums); the check then answers "not closed" and the walk goes on
+    amb = Ambient(2, (3, 5))
+    table = translation_subgroup(amb)
+    info = {amb.tuple_of(x) for x in range(15) if x not in (1, 4, 9, 12, 13)}
+    assert pd_walk_direct(amb, table, info, 2)[0]
+    monkeypatch.setattr(abcode.permdec, "GROUP_TABLE_BUDGET", 2 * 15 * 15 - 1)
+    monkeypatch.setattr(abcode.code, "_COMBO_BLOCK", 1)
+    checks = counted_closure_checks(monkeypatch)
+    assert is_pd_set(amb, table, info, 2)
+    assert checks == [False]
+
+
+def test_pd_budget_counts_every_subset_on_closed_tables():
+    # the walk on a closed table stops after the C(l - 1, s - 1) subsets
+    # that hold position 0, but the budget still bounds all C(l, s)
+    amb = Ambient(2, (3, 5))
+    info = build_gamma(from_orbit_reps(amb, [(1, 1)])).complement()
+    for table in (enumerate_lambda(amb), translation_subgroup(amb)):
+        for s in (1, 2, 3):
+            with pytest.raises(ValueError, match="exceeds the subset budget"):
+                is_pd_set(amb, table, info, s, budget=math.comb(15, s) - 1)
+            assert (is_pd_set(amb, table, info, s, budget=math.comb(15, s))
+                    == is_pd_set(amb, table, info, s))
 
 
 def test_pd_set_empty_table_fails_with_witness():
