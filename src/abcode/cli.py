@@ -92,15 +92,6 @@ def _parse_index(entry, n: int):
     return tup
 
 
-def _refused_as_spec_error(make, *args):
-    """make(*args), with a ValueError it raises (an Ambient or CrtMap
-    refusal) raised again as a SpecError with the same message."""
-    try:
-        return make(*args)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from exc
-
-
 def parse_spec(text: str) -> CodeSpec:
     try:
         data = yaml.safe_load(text)
@@ -125,33 +116,39 @@ def parse_spec(text: str) -> CodeSpec:
         ordering = tuple(a - 1 for a in _int_list(data["ordering"], "ordering"))
 
     cmap = cyclic = None
-    if data.get("crt") is not None:
-        block = data["crt"]
-        if not isinstance(block, dict) or "factors" not in block:
-            raise SpecError("crt block needs a factors list")
-        units = block.get("units")
-        cmap = _refused_as_spec_error(
-            CrtMap, _int_list(block["factors"], "crt factors"),
-            None if units is None else _int_list(units, "crt units"))
-        l = cmap.length
-        if "l" in data and data["l"] != l:
-            raise SpecError(f"l = {data['l']!r} but the factors multiply to {l}")
-        # gcd(r_i, q) = 1 before residues are closed
-        _refused_as_spec_error(Ambient, q, cmap.factors)
-        members = set()
-        for a in _int_list(entries, "defining_set residues"):
-            members.update(coset(a, l, q) if kind == "orbits" else (a % l,))
-        defining = cmap.transport_defining_set(q, members)
-        cyclic = tuple(sorted(members))
-    elif "r" in data:
-        amb = _refused_as_spec_error(Ambient, q, _int_list(data["r"], "r"))
-        indices = [_parse_index(e, amb.n) for e in entries]
-        defining = (from_orbit_reps(amb, indices) if kind == "orbits"
-                    else validate_defining_set(amb, indices))
-    else:
-        raise SpecError("missing field: r (or a crt block)")
-    if ordering is not None:
-        normalize_ordering(defining.ambient.n, ordering)
+    try:
+        if data.get("crt") is not None:
+            block = data["crt"]
+            if not isinstance(block, dict) or "factors" not in block:
+                raise SpecError("crt block needs a factors list")
+            units = block.get("units")
+            cmap = CrtMap(_int_list(block["factors"], "crt factors"),
+                          None if units is None else _int_list(units, "crt units"))
+            l = cmap.length
+            if "l" in data and data["l"] != l:
+                raise SpecError(f"l = {data['l']!r} but the factors multiply to {l}")
+            # gcd(r_i, q) = 1 before residues are closed
+            Ambient(q, cmap.factors)
+            members = set()
+            for a in _int_list(entries, "defining_set residues"):
+                members.update(coset(a, l, q) if kind == "orbits" else (a % l,))
+            defining = cmap.transport_defining_set(q, members)
+            cyclic = tuple(sorted(members))
+        elif "r" in data:
+            amb = Ambient(q, _int_list(data["r"], "r"))
+            indices = [_parse_index(e, amb.n) for e in entries]
+            defining = (from_orbit_reps(amb, indices) if kind == "orbits"
+                        else validate_defining_set(amb, indices))
+        else:
+            raise SpecError("missing field: r (or a crt block)")
+        if ordering is not None:
+            normalize_ordering(defining.ambient.n, ordering)
+    except SpecError:
+        raise
+    except ValueError as exc:
+        # the library's refusals (Ambient, CrtMap, an index out of range, a
+        # set that is not orbit-closed, an ordering that is no permutation)
+        raise SpecError(str(exc)) from exc
     return CodeSpec(defining, ordering, cmap, cyclic)
 
 

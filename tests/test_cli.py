@@ -133,14 +133,12 @@ def test_parse_spec_rejects_bad_documents():
         "- not\n- a\n- mapping\n",
         "q: 3\nr: [3, 5]\n",                           # gcd(r_i, q) = 3
         "q: 2\ncrt:\n  factors: [3, 9]\n",            # factors not coprime
-    ]:
-        with pytest.raises(SpecError):
-            parse_spec(text)
-    for text in [
         "q: 2\nr: [3, 7]\nordering: [1, 1]\n",        # bad ordering
         "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: [\"9,1\"]\n",  # range
+        "q: 2\nr: [7]\ndefining_set:\n  explicit: [\"1\"]\n",  # not closed
+        "q: 2\ncrt:\n  factors: [3, 5]\ndefining_set:\n  explicit: [1]\n",
     ]:
-        with pytest.raises(ValueError):
+        with pytest.raises(SpecError):
             parse_spec(text)
 
 

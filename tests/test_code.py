@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -660,6 +661,8 @@ def test_min_distance_rejects_zero_code():
         min_distance(code)
     with pytest.raises(ValueError):
         min_distance(AbelianCode(HAMMING), method="nope")
+    with pytest.raises(ValueError, match="Gray-code enumeration requires q = 2"):
+        min_distance(AbelianCode(GOLAY3), method="gray")
 
 
 def test_gray_budget_gives_bracket():
@@ -868,6 +871,21 @@ def gray_min_direct(rows, l, budget=None, minima=None):
     return best, bw, evals, True
 
 
+def gray_ints(rows, l, budget=None):
+    """_gray_min on int rows (bit j = column j), in gray_min_direct's form:
+    (weight, witness int or None, evaluations, whole sweep).  The engine's
+    lower bound is checked on the way: the weight after a whole sweep, 1
+    otherwise."""
+    G = MatrixGF(scalar_field(2), abcode.gf._unpack_rows(rows, l))
+    lower, upper, wit, evals = abcode.code._gray_min(G, budget)
+    whole = evals == 1 << len(rows)
+    assert lower == (upper if whole else 1)
+    if wit is None:
+        return upper, None, evals, whole
+    assert wit.dtype == G.data.dtype
+    return upper, MatrixGF(G.field, [wit]).row_ints()[0], evals, whole
+
+
 def shared_columns(rows, split=20):
     """Mask of the columns where a tabulated and a walked row both have a 1."""
     low = high = 0
@@ -956,7 +974,7 @@ def test_gray_screen_matches_direct_scan(gray_cases):
             for r in (rows, mixed):
                 minima = []
                 want = gray_min_direct(r, l, budget, minima)
-                assert abcode.code._gray_min(r, l, budget) == want
+                assert gray_ints(r, l, budget) == want
                 if budget is None and r is rows:
                     ties = [s for s, m in enumerate(minima) if m == want[0]]
                     reordered += ties[0] != min(ties, key=lambda s: s ^ (s >> 1))
@@ -985,12 +1003,12 @@ def test_gray_walk_in_blocks(monkeypatch):
             rows[walked[-1]] = 1 << walked[-1] | rest << k
             planted.append(sum(1 << i for i in walked))
         l = k + 19
-        want = [abcode.code._gray_min(rows, l, b) for b in (None, 10**7)]
+        want = [gray_ints(rows, l, b) for b in (None, 10**7)]
         assert want[0] == (planted[0].bit_count(), planted[0], 1 << k, True)
         assert want[1] == gray_min_direct(rows, l, 10**7)
         for block in (4, 1024):
             monkeypatch.setattr(abcode.code, "_WALK_BLOCK", block)
-            assert [abcode.code._gray_min(rows, l, b) for b in (None, 10**7)] == want
+            assert [gray_ints(rows, l, b) for b in (None, 10**7)] == want
             monkeypatch.undo()
 
 
@@ -1000,9 +1018,9 @@ def gray_cuts(monkeypatch, rows, l):
     cuts = []
     screened = abcode.code._screened_sweep
 
-    def spy(rows, l, cut, split, steps):
+    def spy(bits, cut, split, steps):
         cuts.append(cut)
-        return screened(rows, l, cut, split, steps)
+        return screened(bits, cut, split, steps)
 
     def scan(*args):
         raise AssertionError("the table was scanned on every step")
@@ -1010,7 +1028,7 @@ def gray_cuts(monkeypatch, rows, l):
     monkeypatch.setattr(abcode.code, "_screened_sweep", spy)
     monkeypatch.setattr(abcode.code, "_scan_sweep", scan)
     try:
-        return abcode.code._gray_min(rows, l), cuts
+        return gray_ints(rows, l), cuts
     finally:
         monkeypatch.undo()
 
@@ -1050,7 +1068,7 @@ def test_gray_screen_past_64_columns():
         shared = shared_columns(rows)
         assert shared.bit_count() < 20 and shared >> 64
         for budget in GRAY_BUDGETS:
-            got = abcode.code._gray_min(rows, 68, budget)
+            got = gray_ints(rows, 68, budget)
             assert got == gray_min_direct(rows, 68, budget)
         # only row i has a 1 in column i: bits 0..19 of the witness name its
         # table rows, bits 20.. its walked rows
@@ -1069,7 +1087,7 @@ def test_gray_screen_with_patterns_no_entry_has(gray_cases):
         shared = shared_columns(rows)
         screened += shared.bit_count() < 20
         for budget in GRAY_BUDGETS:
-            got = abcode.code._gray_min(rows, l, budget)
+            got = gray_ints(rows, l, budget)
             assert got == gray_min_direct(rows, l, budget)
         assert got[0] == 2 * min_distance(code, method="bz").value
     assert screened >= 2
@@ -1137,6 +1155,59 @@ def test_full_enumeration_matches_direct(q):
             assert wit.dtype == G.data.dtype
             assert wit.tolist() == want[2].tolist()
         assert abcode.code._full_min(G, want[3] - 1) == (1, code.length, None, 0)
+
+
+def test_full_enumeration_is_sized_by_its_halves():
+    # (3;26,28) with D every orbit but those of (0,1) and (0,2): k = 12,
+    # l = 728, so the 3^12 messages would hold 3.9e8 labels, more than
+    # 2^28, while the halves hold 2 * 3^6 words
+    amb = Ambient(3, (26, 28))
+    kept = set(qorbit(amb, (0, 1))) | set(qorbit(amb, (0, 2)))
+    code = AbelianCode(DefiningSet(amb, frozenset(
+        t for t in amb.positions() if t not in kept)))
+    assert (code.dimension, code.length) == (12, 728)
+    res = min_distance(code)
+    assert res.method == "full" and res.is_exact
+    assert res.value == min_distance(code, method="bz").value == 208
+    assert int(np.count_nonzero(res.witness)) == 208
+    assert contains(code, res.witness)
+
+
+def test_full_enumeration_refuses_halves_past_the_cap(monkeypatch):
+    # the cap admits every code whose q^k messages fit in 2^28 labels, up
+    # to the k = 1 halves of q + 1 words
+    for q in FIELD_SIZES + (16, 256):
+        for k in range(1, 29):
+            h = k // 2
+            assert (q**h + q**(k - h)) * ((1 << 28) // q**k) <= \
+                abcode.code._FULL_HALVES_LIMIT
+    # (3;40) with |D| = 11, k = 29: the halves would hold 7.7e8 labels;
+    # the refusal comes before any of them is built
+    amb = Ambient(3, (40,))
+    orbs = orbits(amb)
+    code = AbelianCode(DefiningSet(amb, frozenset(
+        m for o in (orbs[0], orbs[1], orbs[2], orbs[4]) for m in o)))
+    assert code.dimension == 29
+    generator_matrix(code)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the memory budget"):
+            min_distance(code, method="full")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    # the cap counts (q^h + q^(k - h)) l labels, q + 1 words at k = 1
+    repetition = full_codes(3, random.Random(50))[0]
+    assert repetition.dimension == 1
+    for code in (AbelianCode(HAMMING), AbelianCode(GOLAY3), repetition):
+        q, k, l = code.ambient.q, code.dimension, code.length
+        halves = (q**(k // 2) + q**(k - k // 2)) * l
+        monkeypatch.setattr(abcode.code, "_FULL_HALVES_LIMIT", halves)
+        assert min_distance(code, method="full").is_exact
+        monkeypatch.setattr(abcode.code, "_FULL_HALVES_LIMIT", halves - 1)
+        with pytest.raises(ValueError, match="exceeds the memory budget"):
+            min_distance(code, method="full")
 
 
 def bits_min_direct(rows, w, best):
