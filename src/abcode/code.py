@@ -239,31 +239,11 @@ def _weights(span):
     return acc
 
 
-def _scan_sweep(bits, split, steps):
-    """The first `steps` Gray steps, each a scan of the 2^split table."""
-    l = bits.shape[1]
-    words = _pack_words(bits)
-    tab, walk = _span(words[:split]), words[split:]
-    best, best_step, best_i = l + 1, None, None
-    hi = np.zeros(words.shape[1], dtype=np.uint64)
-    for step in range(steps):
-        if step:
-            hi ^= walk[(step & -step).bit_length() - 1]
-        acc = _weights(tab ^ hi[:, None])
-        if not hi.any():
-            acc[0] = l + 1
-        i = int(np.argmin(acc))
-        if acc[i] < best:
-            best, best_step, best_i = int(acc[i]), step, i
-    if best_step is None:
-        return None
-    return best, _xor_rows(bits, (best_step ^ best_step >> 1) << split | best_i)
-
-
 def _screened_sweep(bits, cut, split, steps):
     """The first `steps` Gray steps over bits[split:], each with rows
     cut..split-1 in binary order inside it, against the 2^cut table of
-    bits[:cut]; every walked combination is screened at once."""
+    bits[:cut]; every walked combination is screened at once.  With no
+    shared column, as at cut 0, dist is [0] and the gather is skipped."""
     l = bits.shape[1]
     shared = bits[:cut].any(0) & bits[cut:].any(0)
     scols = np.flatnonzero(shared)
@@ -313,8 +293,11 @@ def _screened_sweep(bits, cut, split, steps):
                 hb = hb ^ walked[mid + m + j, :, None]
         hb = hb[:, :steps - b * block]
         combos = (hb[:, :, None] ^ inner[:, None]).reshape(len(hb), -1)
-        vals = dist[(combos[0] & ymask).astype(np.uint32)]
-        vals += _weights(combos)
+        vals = _weights(combos)
+        if len(scols):
+            vals += dist[(combos[0] & ymask).astype(np.uint32)]
+        # dropped before the next block is built, which then reuses its memory
+        del combos
         if b == 0:
             vals[0] = zero[0]
         i = int(np.argmin(vals))
@@ -354,11 +337,13 @@ def _gray_min(G, budget=None):
     A sweep of more than one step is screened at the first cut c of lo,
     lo + 1, ..., split that shares fewer than split columns, where lo is
     min(k // 2, split) for a whole sweep (no budget, or one of at least
-    2^k) and split otherwise; with no such cut each step scans the 2^split
-    table.  Rows c..split-1 run in binary order inside each Gray step, so
-    (step, those rows, table index) is the order of (step, 2^split table
-    index).  Walked combinations are evaluated in blocks of at most 2^20,
-    so no table or block holds more than 2^20 words of 64 columns each.
+    2^k) and split otherwise.  A one-step sweep, or one with no such cut,
+    runs at cut 0: the table holds only the zero word, S is empty, and
+    each walked combination is weighed in full.  Rows c..split-1 run in
+    binary order inside each Gray step, so (step, those rows, table index)
+    is the order of (step, 2^split table index).  Walked combinations are
+    evaluated in blocks of at most 2^20, so no table or block holds more
+    than 2^20 words of 64 columns each.
 
     Under a budget b the table holds at most 2^floor(log2 b) combinations
     (at least 2), and no step runs that would take the evaluations past b;
@@ -383,18 +368,13 @@ def _gray_min(G, budget=None):
     def shared(cut):
         return np.count_nonzero(bits[:cut].any(0) & bits[cut:].any(0))
 
+    if not steps:
+        return 1, l, None, evals
     lo = min(k // 2, split) if whole else split
     cuts = range(lo, split + 1) if steps > 1 else ()
-    cut = next((c for c in cuts if shared(c) < split), None)
-    if steps == 0:
-        found = None
-    elif cut is not None:
-        found = _screened_sweep(bits, cut, split, steps)
-    else:
-        found = _scan_sweep(bits, split, steps)
-    if found is None:
-        return 1, l, None, evals
-    return (found[0] if whole else 1), found[0], found[1], evals
+    cut = next((c for c in cuts if shared(c) < split), 0)
+    best, witness = _screened_sweep(bits, cut, split, steps)
+    return (best if whole else 1), best, witness, evals
 
 
 def combination_blocks(vals, m, w, combine):

