@@ -73,11 +73,11 @@ def check_tensor(code: AbelianCode) -> np.ndarray:
     least element e; the blocks follow the orbits' least elements.  With
     beta the root of unity of order L = lcm(r) and alpha_i = beta^(L / r_i),
     the entry at position j is beta^k, k = sum_i (L / r_i) e_i j_i mod L.
-    beta^k lies in F_{q^d} exactly when step = L / gcd(L, q^d - 1) divides
-    k, and every block of size d gathers its columns from the coordinates
-    of beta^0, beta^step, ..., which the field context solves once per
-    (L, d) and keeps (FieldContext.root_coords).  parity_matrix caches the
-    tensor.
+    beta^k lies in F_{q^d} exactly when step = L / e divides k, where
+    e = gcd(L, q^d - 1), and every block of size d gathers its columns from
+    the coordinates of beta^0, beta^step, ..., the powers of the root of
+    order e, which the field context solves once per (e, d) and keeps
+    (FieldContext.root_coords).  parity_matrix caches the tensor.
     """
     amb, ctx = code.ambient, code.ctx
     L = math.lcm(*amb.r)
@@ -86,11 +86,12 @@ def check_tensor(code: AbelianCode) -> np.ndarray:
     off = 0
     for orb in code.defining.orbits():
         d = len(orb)
-        step = L // math.gcd(L, amb.q**d - 1)
+        e = math.gcd(L, amb.q**d - 1)
+        step = L // e
         k = np.array([L // ri * ei for ri, ei in zip(amb.r, orb[0])]) @ grid % L
         if np.any(k % step):
             raise FieldError(f"element is not in F_{{q^{d}}}")
-        mat[off:off + d] = ctx.root_coords(L, d)[k // step].T
+        mat[off:off + d] = ctx.root_coords(e, d)[k // step].T
         off += d
     return mat
 

@@ -29,7 +29,6 @@ reduction is the only one, and the subfield solvers use it over F_p.
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -204,7 +203,6 @@ class FieldContext:
             self.generator_rep, self._roots = ext.generator_rep, ext._roots
         self._tables = None
         self._solvers = {}
-        self._root_powers = {}
         self._root_coords = {}
 
     # -- encoding --
@@ -268,25 +266,21 @@ class FieldContext:
             self._solvers[d] = (extract, B)
         return self._solvers[d]
 
-    def root_coords(self, L: int, d: int):
-        """Labels over F_q of the powers of beta that lie in F_{q^d}.
+    def root_coords(self, e: int, d: int):
+        """Labels over F_q of the powers of the root of unity of order e.
 
-        beta = root_of_unity(self, L), and beta^k lies in F_{q^d} exactly
-        when step = L / gcd(L, q^d - 1) divides k; row i holds the d
-        coordinates of beta^(i step), as subfield_coords gives them.  The
-        digit rows of beta^0, ..., beta^(L-1) are cached per L and the
-        coordinates per (L, d), each in the least unsigned dtype that holds
-        them, as they live as long as the context.
+        e must divide q^d - 1; row i holds the d coordinates of
+        root_of_unity(self, e)^i, as subfield_coords gives them.  Every
+        canonical root is a power of one generator, so for any L that e
+        divides this is the table of beta^(i L / e), beta the root of order
+        L.  The coordinates are kept per (e, d) in the least unsigned dtype
+        that holds them, as they live as long as the context.
         """
-        if (L, d) not in self._root_coords:
-            if L not in self._root_powers:
-                self._root_powers[L] = self.powers(root_of_unity(self, L), L).astype(
-                    np.min_scalar_type(self.p - 1))
-            step = L // math.gcd(L, self.q**d - 1)
-            self._root_coords[L, d] = subfield_coords(
-                self, self._root_powers[L][::step], d).astype(
+        if (e, d) not in self._root_coords:
+            self._root_coords[e, d] = subfield_coords(
+                self, self.powers(root_of_unity(self, e), e), d).astype(
                     np.min_scalar_type(self.q - 1))
-        return self._root_coords[L, d]
+        return self._root_coords[e, d]
 
     # -- F_p-linear maps on digit rows --
 
@@ -450,8 +444,7 @@ class ScalarField:
         """
         if self.ctx._tables is None:
             q, p, dtype = self.q, self.p, self.dtype
-            exp = subfield_coords(self.ctx, self.ctx.powers(self.ctx.eta(), q - 1), 1)
-            exp = exp[:, 0].astype(dtype)
+            exp = self.ctx.root_coords(q - 1, 1)[:, 0]
             log = np.zeros(q, dtype=np.int64)
             log[exp] = np.arange(q - 1)
             add_table = None

@@ -365,13 +365,18 @@ def test_check_tensor_solves_once_per_orbit_size(monkeypatch):
     calls = []
 
     def counting(ctx, a, d):
-        calls.append(d)
+        calls.append((len(a), d))
         return subfield_coords(ctx, a, d)
+
+    def solves(D):
+        # an orbit of size d reads the powers of the root of order
+        # e = gcd(L, q^d - 1), one solve per distinct (e, d)
+        L, q = math.lcm(*D.ambient.r), D.ambient.q
+        return sorted({(math.gcd(L, q**len(orb) - 1), len(orb)) for orb in D.orbits()})
 
     monkeypatch.setattr(abcode.gf, "subfield_coords", counting)
     shared = 0
     for name, D in TENSOR_CODES.items():
-        sizes = [len(orb) for orb in D.orbits()]
         # D again, and its last orbit alone: the same context and L
         others = [D, DefiningSet(D.ambient, frozenset(
             t for orb in D.orbits()[-1:] for t in orb))]
@@ -379,12 +384,12 @@ def test_check_tensor_solves_once_per_orbit_size(monkeypatch):
         for other in others:
             build_context.cache_clear()
             fresh.append(check_tensor(AbelianCode(other)).tobytes())
-        # a fresh context solves once per distinct orbit size
+        # a fresh context solves once per distinct (e, d)
         build_context.cache_clear()
         calls.clear()
         check_tensor(AbelianCode(D))
-        assert sorted(calls) == sorted(set(sizes)), name
-        shared += len(sizes) - len(calls)
+        assert sorted(calls) == solves(D), name
+        shared += len(D.orbits()) - len(calls)
         # later codes on that context and L solve nothing
         calls.clear()
         assert [check_tensor(AbelianCode(o)).tobytes() for o in others] == fresh
@@ -392,15 +397,22 @@ def test_check_tensor_solves_once_per_orbit_size(monkeypatch):
         # clearing the context cache drops the tables with the contexts
         build_context.cache_clear()
         check_tensor(AbelianCode(D))
-        assert sorted(calls) == sorted(set(sizes)), name
+        assert sorted(calls) == solves(D), name
     assert shared > 0   # some orbits share a size, and so a solve
-    # one context, one orbit size, two values of L: no table is shared
+    # one context, one orbit size d = 4, and two values of L, 15 and 5,
+    # with e = 15 and 5: no table is shared.  Then one context, d = 3 and
+    # L = 21 and 63, both with e = gcd(L, 2^3 - 1) = 7: one table serves both
     by_l = [from_orbit_reps(Ambient(2, (3, 5)), [(1, 1)]),
-            from_orbit_reps(Ambient(2, (5,)), [(1,)])]
+            from_orbit_reps(Ambient(2, (5,)), [(1,)]),
+            from_orbit_reps(Ambient(2, (3, 7)), [(0, 1)]),
+            from_orbit_reps(Ambient(2, (7, 9)), [(1, 0)])]
+    build_context.cache_clear()
     codes = [AbelianCode(D) for D in by_l]
-    assert codes[0].ctx is codes[1].ctx
+    assert codes[0].ctx is codes[1].ctx and codes[2].ctx is codes[3].ctx
+    calls.clear()
     for code in codes:
         assert check_tensor(code).tobytes() == naive_check_tensor(code).tobytes()
+    assert calls == [(15, 4), (5, 4), (7, 3)]
 
 
 @pytest.mark.parametrize("name", ["HAMMING", "GOLAY3", "QUARTIC", "C358", "C457"])
