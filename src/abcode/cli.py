@@ -102,7 +102,9 @@ def parse_spec(text: str) -> CodeSpec:
     if "q" not in data:
         raise SpecError("missing field: q")
     q = _int(data["q"], "q")
-    ds_block = data.get("defining_set") or {}
+    ds_block = data.get("defining_set")
+    if ds_block is None:
+        ds_block = {}
     if not isinstance(ds_block, dict):
         raise SpecError("defining_set must be a mapping with orbits or explicit")
     if "orbits" in ds_block and "explicit" in ds_block:
@@ -125,8 +127,6 @@ def parse_spec(text: str) -> CodeSpec:
             cmap = CrtMap(_int_list(block["factors"], "crt factors"),
                           None if units is None else _int_list(units, "crt units"))
             l = cmap.length
-            if "l" in data and data["l"] != l:
-                raise SpecError(f"l = {data['l']!r} but the factors multiply to {l}")
             # gcd(r_i, q) = 1 before residues are closed
             Ambient(q, cmap.factors)
             members = set()
@@ -141,6 +141,9 @@ def parse_spec(text: str) -> CodeSpec:
                         else validate_defining_set(amb, indices))
         else:
             raise SpecError("missing field: r (or a crt block)")
+        if "l" in data and _int(data["l"], "l") != defining.ambient.length:
+            raise SpecError(f"l = {data['l']!r} but the ambient length is "
+                            f"{defining.ambient.length}")
         if ordering is not None:
             normalize_ordering(defining.ambient.n, ordering)
     except SpecError:
