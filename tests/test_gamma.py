@@ -9,6 +9,7 @@ seeded random codes.
 import itertools
 import math
 import random
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,33 @@ def gamma_oracle(reps, ordering):
     return {unpermute(i, ordering)
             for i in itertools.product(*map(range, reps.ambient.r))
             if i[0] < weight((), i)}
+
+
+def footprint(points, n):
+    """The lex footprint of a set of n-tuples, the last coordinate largest.
+
+    The exponent tuples of the standard monomials of the points' vanishing
+    ideal.  Points are grouped into fibres by their last coordinate; each
+    monomial m of the other coordinates extends by b = 0, 1, ... for as
+    many fibres as have m in their own footprint.  Only which points share
+    a coordinate matters, so D's index tuples stand for the points
+    (alpha_1^d_1, ..., alpha_n^d_n).
+    """
+    if n == 0:
+        return {()} if points else set()
+    fibres = {}
+    for t in points:
+        fibres.setdefault(t[-1], []).append(t[:-1])
+    count = Counter(m for f in fibres.values() for m in footprint(f, n - 1))
+    return {m + (b,) for m, c in count.items() for b in range(c)}
+
+
+def footprint_gamma(D, ordering):
+    """The footprint of D with axis ordering[0] the largest variable, in
+    the ambient's axis order: the axes are taken as reversed(ordering)."""
+    axes = tuple(reversed(ordering))
+    fp = footprint({tuple(t[a] for a in axes) for t in D.members}, len(axes))
+    return frozenset(tuple(m[axes.index(a)] for a in range(len(axes))) for m in fp)
 
 
 # ---------- frozen tables ----------
@@ -276,8 +304,10 @@ def test_construction_on_every_small_abelian_code():
     42 ambients, 602 orbit unions, 826 (union, axis ordering) pairs.  For
     each pair, Gamma from the default representatives and from two seeded
     choices (2 478 builds) has |D| positions, passes
-    verify_check_positions, and is the same set each time.  This takes under a second; l <= 8 (about 9 s) or
-    r_i = 1 axes (about 8 s) belong in a benchmark workload instead.
+    verify_check_positions, and is the same set each time, the lex
+    footprint of D's points (footprint_gamma).  This takes under a second;
+    l <= 8 (about 9 s) or r_i = 1 axes (about 8 s) belong in a benchmark
+    workload instead.
     """
     ambients = small_ambients()
     assert len(ambients) == 42
@@ -290,14 +320,13 @@ def test_construction_on_every_small_abelian_code():
             code = AbelianCode(D)
             unions += 1
             for order in itertools.permutations(range(amb.n)):
-                first = None
+                want = footprint_gamma(D, order)
                 for seed in (None, 1, 2):
                     cs = build_gamma(D, ordering=order, rng=None if seed is None
                                      else random.Random(seed))
                     assert len(cs) == len(D), (D, order, seed)
                     assert verify_check_positions(code, cs), (D, order, seed)
-                    first = cs.positions if first is None else first
-                    assert cs.positions == first, (D, order, seed)
+                    assert cs.positions == want, (D, order, seed)
     assert unions == 602
 
 
@@ -370,6 +399,21 @@ def test_gamma_of_the_dual_is_the_reflected_complement_up_to_length_200(data):
     rng = [None if seed is None else random.Random(seed) for seed in seeds]
     want = reflected_complement(build_gamma(D, ordering=order, rng=rng[0]))
     assert build_gamma(dual_defining_set(D), ordering=order, rng=rng[1]).positions == want
+
+
+@settings(max_examples=60, deadline=2000)
+@given(data=st.data())
+def test_gamma_is_the_lex_footprint_up_to_length_200(data):
+    # the ambients of the duality property: a random union of orbits, axis
+    # ordering and representative seed
+    amb = data.draw(ambients_up_to_200())
+    orbs = orbits(amb)
+    pick = data.draw(st.lists(st.booleans(), min_size=len(orbs), max_size=len(orbs)))
+    D = DefiningSet(amb, frozenset(m for o, chosen in zip(orbs, pick) if chosen for m in o))
+    order = data.draw(st.permutations(range(amb.n)))
+    seed = data.draw(st.none() | st.integers(0, 2**16))
+    cs = build_gamma(D, ordering=order, rng=None if seed is None else random.Random(seed))
+    assert cs.positions == footprint_gamma(D, order)
 
 
 def test_gamma_matches_the_tree_free_oracle():
