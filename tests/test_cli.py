@@ -209,13 +209,13 @@ def test_main_reports_memory_errors_with_exit_2(tmp_path, capsys, monkeypatch,
     "q: 2\nr: [3, 7]\nordering: [2.2, 1]\n",            # axis number a float
     "q: 2\ncrt:\n  factors: [3.0, 5]\n",                # factor a float
     "q: 2\nr: [3, 7]\ndefining_set:\n  explicit: [[0, 3.5]]\n",  # index entry
-    "q: 2\nr: [3, 7]\ndefining_set: 0\n",            # not a mapping, though falsy
+    "q: 2\nr: [3, 7]\ndefining_set: 0\n",              # falsy non-mappings
     "q: 2\nr: [3, 7]\ndefining_set: false\n",
     "q: 2\nr: [3, 7]\ndefining_set: ''\n",
     "q: 2\nr: [3, 7]\ndefining_set: []\n",
-    "q: 2\nl: 15.0\ncrt:\n  factors: [3, 5]\n",        # l a float
-    "q: 2\nl: true\ncrt:\n  factors: [3, 5]\n",        # l a bool
-    "q: 2\nl: 99\nr: [3, 5]\n",                        # l not the length
+    "q: 2\nl: 15.0\ncrt:\n  factors: [3, 5]\n",          # l a float
+    "q: 2\nl: true\ncrt:\n  factors: [3, 5]\n",          # l a bool
+    "q: 2\nl: 99\nr: [3, 5]\n",                          # l not the length
 ])
 def test_malformed_spec_exits_2(tmp_path, capsys, text):
     from abcode.cli import SpecError

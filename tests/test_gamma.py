@@ -385,16 +385,22 @@ def ambients_up_to_200(draw):
     return Ambient(q, tuple(r))
 
 
+@st.composite
+def unions_up_to_200(draw):
+    """A random union of the orbits of an ambients_up_to_200 ambient."""
+    amb = draw(ambients_up_to_200())
+    orbs = orbits(amb)
+    pick = draw(st.lists(st.booleans(), min_size=len(orbs), max_size=len(orbs)))
+    return DefiningSet(amb, frozenset(m for o, chosen in zip(orbs, pick) if chosen for m in o))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_gamma_of_the_dual_is_the_reflected_complement_up_to_length_200(data):
     # q in {2, 3, 4, 5, 7, 8, 9}, one to three axes with r_i >= 1 coprime to
     # q, l <= 200; a random union of orbits, axis ordering and two seeds
-    amb = data.draw(ambients_up_to_200())
-    orbs = orbits(amb)
-    pick = data.draw(st.lists(st.booleans(), min_size=len(orbs), max_size=len(orbs)))
-    D = DefiningSet(amb, frozenset(m for o, chosen in zip(orbs, pick) if chosen for m in o))
-    order = data.draw(st.permutations(range(amb.n)))
+    D = data.draw(unions_up_to_200())
+    order = data.draw(st.permutations(range(D.ambient.n)))
     seeds = data.draw(st.tuples(*[st.none() | st.integers(0, 2**16)] * 2))
     rng = [None if seed is None else random.Random(seed) for seed in seeds]
     want = reflected_complement(build_gamma(D, ordering=order, rng=rng[0]))
@@ -404,13 +410,9 @@ def test_gamma_of_the_dual_is_the_reflected_complement_up_to_length_200(data):
 @settings(max_examples=60, deadline=2000)
 @given(data=st.data())
 def test_gamma_is_the_lex_footprint_up_to_length_200(data):
-    # the ambients of the duality property: a random union of orbits, axis
-    # ordering and representative seed
-    amb = data.draw(ambients_up_to_200())
-    orbs = orbits(amb)
-    pick = data.draw(st.lists(st.booleans(), min_size=len(orbs), max_size=len(orbs)))
-    D = DefiningSet(amb, frozenset(m for o, chosen in zip(orbs, pick) if chosen for m in o))
-    order = data.draw(st.permutations(range(amb.n)))
+    # the unions of the duality property, an axis ordering and a seed
+    D = data.draw(unions_up_to_200())
+    order = data.draw(st.permutations(range(D.ambient.n)))
     seed = data.draw(st.none() | st.integers(0, 2**16))
     cs = build_gamma(D, ordering=order, rng=None if seed is None else random.Random(seed))
     assert cs.positions == footprint_gamma(D, order)

@@ -334,6 +334,19 @@ def test_root_of_unity_orders():
         root_of_unity(ctx, 0)
 
 
+def test_root_coords_reads_the_powers_of_the_root_of_order_e():
+    # F_16 over F_2 and over F_4: e = 3 with two d each, one root and
+    # one table per d
+    for ctx in (build_context(2, 1, 4), build_context(2, 2, 2)):
+        for e, d in ((3, 2), (3, 4), (5, 4), (15, 4), (1, 1), (3, 1)):
+            if ctx.M % d or (ctx.q**d - 1) % e:
+                continue
+            root = root_of_unity(ctx, e)
+            want = subfield_coords(ctx, [ctx.pow(root, i) for i in range(e)], d)
+            got = ctx.root_coords(e, d)
+            assert got.dtype == np.uint8 and got.tolist() == want.tolist(), (ctx, e, d)
+
+
 @pytest.mark.parametrize("p,s,M,d", [(2, 1, 4, 2), (2, 1, 4, 4), (2, 2, 2, 2),
                                      (3, 1, 2, 2), (2, 2, 2, 1), (3, 2, 2, 1),
                                      (3, 1, 4, 2), (3, 2, 2, 2)])
