@@ -28,6 +28,7 @@ _FULL_ENUM_LIMIT = 1 << 20
 # 2^28, up to the q + 1 words of k = 1 halves at q l = 2^28
 _FULL_HALVES_LIMIT = 3 << 27
 _WALK_BLOCK = 1 << 20    # walked Gray combinations screened at once
+_LOW_LEVELS = 6          # screen levels run on a transposed copy
 _PAIR_BLOCK = 1 << 18    # (high, low) message pairs weighed at once
 _COMBO_BLOCK = 1 << 17   # bytes of combination values built at once
 _GRAY_MAX_K = 28
@@ -240,6 +241,34 @@ def _weights(span):
     return acc
 
 
+def _screen(x, off, s, l):
+    """dist[y] = min over table entries i of off[i] + wt(x[i] ^ y), for
+    every y < 2^s, given off[i] + s <= l: a distance transform over the
+    s-cube, one level per bit, each an exact integer minimum, so their
+    order does not matter.  Level b pairs entries 2^b apart, which makes
+    its inner loop 2^b long, so the levels below _LOW_LEVELS run on one
+    transposed copy, where bit b is bit s - low + b; the others run in
+    place.  dist is in the narrowest type that holds l + 2: l + 1 marks
+    a pattern no entry has, and v + 1 must not wrap."""
+    dtype = np.min_scalar_type(l + 2)
+    dist = np.full(1 << s, l + 1, dtype=dtype)
+    # ufunc.at takes a slow path unless both operands are of one type
+    np.minimum.at(dist, x, off.astype(dtype))
+
+    def levels(a, bs):
+        for b in bs:
+            v = a.reshape(-1, 2, 1 << b)
+            np.minimum(v[:, 0], v[:, 1] + 1, out=v[:, 0])
+            np.minimum(v[:, 1], v[:, 0] + 1, out=v[:, 1])
+
+    low = min(s, _LOW_LEVELS)
+    t = dist.reshape(-1, 1 << low).T.copy()
+    levels(t, range(s - low, s))
+    dist.reshape(-1, 1 << low)[:] = t.T
+    levels(dist, range(low, s))
+    return dist
+
+
 def _screened_sweep(bits, cut, split, steps):
     """The first `steps` Gray steps over bits[split:], each with rows
     cut..split-1 in binary order inside it, against the 2^cut table of
@@ -256,21 +285,14 @@ def _screened_sweep(bits, cut, split, steps):
         return _pack_words(rs[:, np.concatenate([scols, own])])
 
     tab = _span(words(bits[:cut]))
-    x = (tab[0] & ymask).astype(np.uint32)
+    # ymask keeps the sign bit clear, so the patterns index as int64
+    x = (tab[0] & ymask).view(np.int64)
     off = _weights(tab) - np.bitwise_count(x)
     del tab
-    # l + 1 marks a pattern no entry has; int32 holds it plus |S|
-    dist = np.full(1 << len(scols), l + 1, dtype=np.int32)
-    np.minimum.at(dist, x, off)
-    for b in range(len(scols)):
-        v = dist.reshape(-1, 2, 1 << b)
-        np.minimum(v[:, 0], v[:, 1] + 1, out=v[:, 0])
-        np.minimum(v[:, 1], v[:, 0] + 1, out=v[:, 1])
-    # a walked word's weight adds in full, its S-pattern's is counted in dist
-    dist -= np.bitwise_count(np.arange(len(dist))).astype(np.int32)
+    dist = _screen(x, off, len(scols), l)
 
     def first_min(y, nonzero):
-        acc = off + np.bitwise_count(x ^ np.uint32(y))
+        acc = off + np.bitwise_count(x ^ y)
         if nonzero:
             acc[0] = l + 1
         i = int(np.argmin(acc))
@@ -296,7 +318,10 @@ def _screened_sweep(bits, cut, split, steps):
         combos = (hb[:, :, None] ^ inner[:, None]).reshape(len(hb), -1)
         vals = _weights(combos)
         if len(scols):
-            vals += dist[(combos[0] & ymask).astype(np.uint32)]
+            # a walked word's weight adds in full, its S-pattern's is in dist
+            y = combos[0] & ymask
+            vals += dist[y.view(np.int64)]
+            vals -= np.bitwise_count(y)
         # dropped before the next block is built, which then reuses its memory
         del combos
         if b == 0:
@@ -566,6 +591,8 @@ def _full_min(G, budget=None):
 
 def min_distance(code: AbelianCode, budget=None, method: str = "auto") -> DistanceResult:
     """Minimum weight of the code; exact or a certified bracket under budget."""
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, not {budget}")
     k = code.dimension
     q = code.ambient.q
     if k == 0:

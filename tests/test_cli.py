@@ -735,7 +735,9 @@ def test_bad_input_exits_2(tmp_path, capsys):
             (["pdset", write(tmp_path, SPEC_37, "c37.yaml"), "--errors", "2", "--budget", "0"],
              "error: C(21, 2) exceeds the subset budget 0\n"),
             (["search", write(tmp_path, SPEC_HAMMING, "h7.yaml"), "--budget", "0"],
-             "error: 2^3 orbit unions exceed the search budget\n")]:
+             "error: 2^3 orbit unions exceed the search budget\n"),
+            (["mindist", write(tmp_path, SPEC_37, "c37.yaml"), "--budget", "-1"],
+             "error: budget must be non-negative, not -1\n")]:
         assert main(argv) == EXIT_BAD_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -677,6 +677,12 @@ def test_min_distance_rejects_zero_code():
         min_distance(AbelianCode(GOLAY3), method="gray")
 
 
+@pytest.mark.parametrize("method", ["auto", "gray", "full", "bz"])
+def test_min_distance_refuses_a_negative_budget(method):
+    with pytest.raises(ValueError, match="^budget must be non-negative, not -1$"):
+        min_distance(AbelianCode(HAMMING), budget=-1, method=method)
+
+
 def test_gray_budget_gives_bracket():
     amb = Ambient(2, (5, 9))
     code = AbelianCode(from_orbit_reps(amb, [(1, 2), (1, 6)]))  # k = 29
@@ -1103,6 +1109,59 @@ def test_gray_screen_with_patterns_no_entry_has(gray_cases):
             assert got == gray_min_direct(rows, l, budget)
         assert got[0] == 2 * min_distance(code, method="bz").value
     assert screened >= 2
+
+
+def test_gray_screen_past_254_columns(monkeypatch):
+    # systematic rows with 16 random bits in columns 238..253, at l = 254,
+    # the least l whose l + 2 needs uint16; the 2^11 or 2^12 table entries
+    # of a whole sweep leave most of the 2^|S| patterns empty, so a type
+    # holding only l + 1 would wrap their l + 1 + 1 to 0
+    rng = random.Random(23)
+    screens = []
+    screen = abcode.code._screen
+
+    def spy(x, off, s, l):
+        dist = screen(x, off, s, l)
+        screens.append((dist.dtype, s, len(np.unique(x)) < 1 << s))
+        return dist
+
+    monkeypatch.setattr(abcode.code, "_screen", spy)
+    for k in (22, 24):
+        rows = [1 << i | rng.getrandbits(16) << 238 for i in range(k)]
+        for budget in (None, (1 << 21) + 1, 10**5):
+            assert gray_ints(rows, 254, budget) == gray_min_direct(rows, 254, budget)
+    assert (np.uint16, 16, True) in screens
+
+
+def screen_direct(x, off, s):
+    """The screen by its definition: for every y < 2^s, the least
+    off[i] + wt(x[i] ^ y) over the table entries i."""
+    return [int((off + np.bitwise_count(x ^ y)).min()) for y in range(1 << s)]
+
+
+def test_screen_matches_its_definition():
+    # random table patterns x, drawn with repeats so that many patterns
+    # occur in no entry, and random off with off + s <= l, over |S| = 0..12:
+    # levels on both sides of the transposed copy's split, and l on both
+    # sides of 254, where dist outgrows uint8.  At l = 254 a type holding
+    # only l + 1 wraps l + 1 + 1 to 0 on a pattern no entry has
+    rng = np.random.default_rng(41)
+    low = abcode.code._LOW_LEVELS
+    assert 0 < low < 12
+    dtypes = set()
+    missing = 0
+    for s in range(13):
+        for l in (s, s + 1 + int(rng.integers(40)), 253, 254, 255, 300):
+            n = int(rng.integers(1, (1 << s) + 2))
+            x = rng.integers(0, 1 << s, n).astype(np.int64)
+            off = rng.integers(0, l - s + 1, n).astype(np.int32)
+            dist = abcode.code._screen(x, off, s, l)
+            assert dist.tolist() == screen_direct(x, off, s)
+            assert dist.dtype == np.min_scalar_type(l + 2)
+            dtypes.add(dist.dtype)
+            missing += len(np.unique(x)) < 1 << s
+    assert dtypes == {np.dtype(np.uint8), np.dtype(np.uint16)}
+    assert missing >= 40
 
 
 def full_min_direct(G):
